@@ -3,8 +3,8 @@
 Subcommands read model documents (or MiniOO source for `extract`) from file
 arguments or standard input ("-"). Exit codes: 0 on success with no error
 diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
-parse/load failures. Multiple inputs are processed concurrently; outputs
-keep the argument order.
+parse/load failures. Multiple inputs are processed one at a time in argument
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import AbstractionLevel, detect_races, substructures
@@ -37,6 +36,9 @@ class _Result:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.inputs.count("-") > 1:
+        print("error: standard input ('-') may be given only once", file=sys.stderr)
+        return 2
     results = _run_all(args)
     out = sys.stdout
     if args.output is not None:
@@ -110,10 +112,7 @@ def _run_all(args: argparse.Namespace) -> list[_Result]:
             return _Result(2, err=f"error: cannot read {path}: {exc}\n")
         return handler(args, content, path)
 
-    if len(args.inputs) == 1:
-        return [one(args.inputs[0])]
-    with ThreadPoolExecutor(max_workers=min(len(args.inputs), 8)) as pool:
-        return list(pool.map(one, args.inputs))
+    return [one(path) for path in args.inputs]
 
 
 def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> _Result:

@@ -35,7 +35,6 @@ class Code(str, Enum):
 
 class Severity(str, Enum):
     ERROR = "error"
-    WARNING = "warning"
 
     def __str__(self) -> str:
         return self.value

@@ -127,7 +127,6 @@ class _Walker:
         self.chain = chain
         self.errors: list[SourceError] = []
         self.flows: list[Flow] = []
-        self._flow_keys: set[tuple[FlowKind, str, str]] = set()
         self.inherited_order: list[_Binding] = []
         self._inherited_seen: set[str] = set()
         self._own_fields = {f.name: f for f in cls.fields}
@@ -186,10 +185,8 @@ class _Walker:
             self.inherited_order.append(binding)
 
     def _add_flow(self, kind: FlowKind, source: str, target: str) -> None:
-        key = (kind, source, target)
-        if key not in self._flow_keys:
-            self._flow_keys.add(key)
-            self.flows.append(Flow(kind=kind, source=source, target=target))
+        # repeats are kept; build_class collapses them in first-occurrence order
+        self.flows.append(Flow(kind=kind, source=source, target=target))
 
     # body traversal
 

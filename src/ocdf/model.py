@@ -5,9 +5,10 @@ methods) are the nodes, control/data flows are the edges. Instances are
 immutable after construction and safe to share across threads.
 
 Structural rules (unique ids, resolvable flow endpoints, known enum tokens)
-are enforced here on build and load. Constraint rules (endpoint kinds,
-visibility, const writes) are representable on purpose and judged by the
-validator, so that non-conforming documents can still be loaded and checked.
+are enforced here on build and load; the validator reuses the same checks.
+Constraint rules (endpoint kinds, visibility, const writes) are
+representable on purpose and judged by the validator, so that non-conforming
+documents can still be loaded and checked.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagnostics import Code, Diagnostic, ModelError, Severity, Subject
 
@@ -114,43 +115,59 @@ def build_class(name: str, features: Iterable[Feature], flows: Iterable[Flow]) -
     """
     features = tuple(features)
     problems: list[Diagnostic] = []
-
-    seen: set[str] = set()
-    for feat in features:
-        if feat.id in seen:
-            problems.append(_structural(Code.E_DUP_ID, name, (feat.id,),
-                                        f"duplicate feature id '{feat.id}'"))
-        seen.add(feat.id)
-
-    kept: list[Flow] = []
-    keys: set[tuple[FlowKind, str, str]] = set()
-    for flow in flows:
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in seen:
-                problems.append(_structural(Code.E_DANGLING_REF, name, (endpoint,),
-                                            f"flow endpoint '{endpoint}' does not name a feature"))
-        if flow.key() not in keys:
-            keys.add(flow.key())
-            kept.append(flow)
-
+    _, kept = _check_class(name, features, flows, problems)
     if problems:
         raise ModelError(problems)
-    return OcdfClass(name=name, features=features, flows=tuple(kept))
+    return OcdfClass(name=name, features=features, flows=kept)
 
 
 def build_model(classes: Iterable[OcdfClass]) -> OcdfModel:
     """Wrap classes into a model, rejecting duplicate class names."""
     classes = tuple(classes)
-    problems = []
-    seen: set[str] = set()
-    for cls in classes:
-        if cls.name in seen:
-            problems.append(_structural(Code.E_DUP_ID, cls.name, (),
-                                        f"duplicate class name '{cls.name}'"))
-        seen.add(cls.name)
+    problems: list[Diagnostic] = []
+    _check_class_names(classes, problems)
     if problems:
         raise ModelError(problems)
     return OcdfModel(classes=classes)
+
+
+def _check_class(name: str, features: Iterable[Feature], flows: Iterable[Flow],
+                 problems: list[Diagnostic]) -> tuple[dict[str, Feature], tuple[Flow, ...]]:
+    """The structural rules of one class, owned here for build, load and the
+    validator alike: feature ids are unique (E_DUP_ID) and every flow
+    endpoint names a feature (E_DANGLING_REF). Violations are appended to
+    ``problems`` in input order. Returns the id->feature map (the last
+    feature wins a repeated id) and the flows with set semantics over
+    Flow.key(), first occurrence kept."""
+    feature_map: dict[str, Feature] = {}
+    for feat in features:
+        if feat.id in feature_map:
+            problems.append(_error(Code.E_DUP_ID, name, (feat.id,),
+                                   f"duplicate feature id '{feat.id}'"))
+        feature_map[feat.id] = feat
+    kept: dict[tuple[FlowKind, str, str], Flow] = {}
+    for flow in flows:
+        for endpoint in (flow.source, flow.target):
+            if endpoint not in feature_map:
+                problems.append(_error(Code.E_DANGLING_REF, name, (endpoint,),
+                                       f"flow endpoint '{endpoint}' does not name a feature"))
+        kept.setdefault(flow.key(), flow)
+    return feature_map, tuple(kept.values())
+
+
+def _check_class_names(classes: Iterable[OcdfClass], problems: list[Diagnostic]) -> None:
+    """Class names are unique within a model (E_DUP_ID)."""
+    seen: set[str] = set()
+    for cls in classes:
+        if cls.name in seen:
+            problems.append(_error(Code.E_DUP_ID, cls.name, (),
+                                   f"duplicate class name '{cls.name}'"))
+        seen.add(cls.name)
+
+
+def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:
+    return Diagnostic(code=code, severity=Severity.ERROR, message=message,
+                      subjects=(Subject(class_name, ids),))
 
 
 # Field order below is the canonical document field order; do not reorder.
@@ -218,11 +235,6 @@ def deserialize(data: bytes | str) -> OcdfModel:
     return model
 
 
-def _structural(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:
-    return Diagnostic(code=code, severity=Severity.ERROR, message=message,
-                      subjects=(Subject(class_name, ids),))
-
-
 def _parse_problem(message: str, class_name: str = "") -> Diagnostic:
     subjects = (Subject(class_name),) if class_name else ()
     return Diagnostic(code=Code.E_PARSE, severity=Severity.ERROR,
@@ -241,21 +253,16 @@ class _Loader:
             self.problems.append(_parse_problem("document root must be an object"))
             return OcdfModel()
         version = doc.get("format_version")
-        if version != FORMAT_VERSION:
+        if type(version) is not int or version != FORMAT_VERSION:
             self.problems.append(_parse_problem(
                 f"unsupported format_version {version!r} (expected {FORMAT_VERSION})"))
         raw_classes = doc.get("classes")
         if not isinstance(raw_classes, list):
             self.problems.append(_parse_problem("'classes' must be a list"))
             return OcdfModel()
-        classes = [self.clazz(c, i) for i, c in enumerate(raw_classes)]
-        seen: set[str] = set()
-        for cls in classes:
-            if cls.name in seen:
-                self.problems.append(_structural(Code.E_DUP_ID, cls.name, (),
-                                                 f"duplicate class name '{cls.name}'"))
-            seen.add(cls.name)
-        return OcdfModel(classes=tuple(classes))
+        classes = tuple(self.clazz(c, i) for i, c in enumerate(raw_classes))
+        _check_class_names(classes, self.problems)
+        return OcdfModel(classes=classes)
 
     def clazz(self, raw: object, index: int) -> OcdfClass:
         if not isinstance(raw, dict):
@@ -266,24 +273,19 @@ class _Loader:
             self.problems.append(_parse_problem(f"classes[{index}] is missing a name"))
             name = f"<classes[{index}]>"
 
-        features = [self.feature(f, name, i)
-                    for i, f in enumerate(self._list(raw, "features", name))]
-        ids: set[str] = set()
-        for feat in features:
-            if feat.id in ids:
-                self.problems.append(_structural(Code.E_DUP_ID, name, (feat.id,),
-                                                 f"duplicate feature id '{feat.id}'"))
-            ids.add(feat.id)
+        features = tuple(self.feature(f, name, i)
+                         for i, f in enumerate(self._list(raw, "features", name)))
+        _, flows = _check_class(name, features, self.flows(raw, name), self.problems)
+        return OcdfClass(name=name, features=features, flows=flows)
 
-        # flows have set semantics; duplicates collapse on load as on build
-        flows: list[Flow] = []
-        keys: set[tuple[FlowKind, str, str]] = set()
-        for i, f in enumerate(self._list(raw, "flows", name)):
-            flow = self.flow(f, name, i, ids)
-            if flow.key() not in keys:
-                keys.add(flow.key())
-                flows.append(flow)
-        return OcdfClass(name=name, features=tuple(features), flows=tuple(flows))
+    def flows(self, raw: dict, class_name: str) -> Iterator[Flow]:
+        """Yield the well-formed flows one at a time, so that each flow's parse
+        problems are reported just before its dangling endpoints. A flow
+        already reported as malformed is left out."""
+        for i, f in enumerate(self._list(raw, "flows", class_name)):
+            flow = self.flow(f, class_name, i)
+            if flow is not None:
+                yield flow
 
     def _list(self, raw: dict, key: str, class_name: str) -> list:
         value = raw.get(key, [])
@@ -313,31 +315,29 @@ class _Loader:
             inherited=self._flag(raw, "inherited", class_name, fid),
         )
 
-    def flow(self, raw: object, class_name: str, index: int, ids: set[str]) -> Flow:
+    def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
         if not isinstance(raw, dict):
             self.problems.append(_parse_problem(f"flows[{index}] must be an object", class_name))
-            return Flow(kind=FlowKind.DATA, source="", target="")
+            return None
         kind = self._enum(raw, "kind", FlowKind, class_name, f"flows[{index}]")
-        source = self._req_str(raw, "source", class_name, f"flows[{index}]")
-        target = self._req_str(raw, "target", class_name, f"flows[{index}]")
+        source = self._req_str(raw, "source", class_name, f"flows[{index}]", None)
+        target = self._req_str(raw, "target", class_name, f"flows[{index}]", None)
         label = raw.get("label")
         if label is not None and not isinstance(label, str):
             self.problems.append(_parse_problem(f"flows[{index}] label must be a string or null",
                                                 class_name))
             label = None
-        for endpoint in (source, target):
-            if endpoint and endpoint not in ids:
-                self.problems.append(_structural(
-                    Code.E_DANGLING_REF, class_name, (endpoint,),
-                    f"flow endpoint '{endpoint}' does not name a feature"))
+        if source is None or target is None:
+            return None
         return Flow(kind=kind or FlowKind.DATA, source=source, target=target, label=label)
 
-    def _req_str(self, raw: dict, key: str, class_name: str, where: str) -> str:
+    def _req_str(self, raw: dict, key: str, class_name: str, where: str,
+                 missing: str | None = "") -> str | None:
         value = raw.get(key)
         if not isinstance(value, str):
             self.problems.append(_parse_problem(f"{where} is missing string field '{key}'",
                                                 class_name))
-            return ""
+            return missing
         return value
 
     def _flag(self, raw: dict, key: str, class_name: str, where: str) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .analysis import AbstractionLevel, project
-from .model import Feature, FeatureKind, OcdfClass, OcdfModel, Visibility
+from .model import Feature, FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility
 
 
 class RankDir(str, Enum):
@@ -77,7 +77,7 @@ def _render_class(cls: OcdfClass, opts: RenderOptions) -> list[str]:
         lines.append(f"    {ids[feat.id]} [{', '.join(attrs)}];")
     for flow in flows:
         attrs = []
-        if flow.kind.value == "control":
+        if flow.kind is FlowKind.CONTROL:
             attrs.append("style=dashed")
         if flow.label is not None:
             attrs.append(f'label="{_escape(flow.label)}"')

@@ -6,8 +6,9 @@ Findings are data, not failures: validate() always returns a list.
 
 from __future__ import annotations
 
-from .diagnostics import Code, Diagnostic, ModelError, Severity, Subject
-from .model import Feature, FeatureKind, FlowKind, OcdfClass, OcdfModel
+from .diagnostics import Code, Diagnostic, ModelError, Severity
+from .model import (FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility, _check_class,
+                    _check_class_names, _error)
 
 # One entry per code: the rule the code enforces, worded once.
 _RULES: dict[Code, str] = {
@@ -41,12 +42,8 @@ def validate(model: OcdfModel) -> list[Diagnostic]:
     """Check every constraint; returns all violations sorted by
     (class name, code, subject ids). Empty list means the model conforms."""
     findings: list[Diagnostic] = []
-    class_names: set[str] = set()
+    _check_class_names(model.classes, findings)
     for cls in model.classes:
-        if cls.name in class_names:
-            findings.append(_error(Code.E_DUP_ID, cls.name, (),
-                                   f"duplicate class name '{cls.name}'"))
-        class_names.add(cls.name)
         findings.extend(_validate_class(cls))
     findings.sort(key=Diagnostic.sort_key)
     return findings
@@ -59,33 +56,24 @@ def validate_class(cls: OcdfClass) -> list[Diagnostic]:
 
 def _validate_class(cls: OcdfClass) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
-    features: dict[str, Feature] = {}
+    features, flows = _check_class(cls.name, cls.features, cls.flows, findings)
     for feat in cls.features:
-        if feat.id in features:
-            findings.append(_error(Code.E_DUP_ID, cls.name, (feat.id,),
-                                   f"duplicate feature id '{feat.id}'"))
-        features[feat.id] = feat
-
-        if feat.kind is FeatureKind.INTERFACE_METHOD and feat.visibility.value != "public":
+        if feat.kind is FeatureKind.INTERFACE_METHOD and feat.visibility is not Visibility.PUBLIC:
             findings.append(_error(
                 Code.E_IFACE_VIS, cls.name, (feat.id,),
                 f"interface method '{feat.id}' has {feat.visibility} visibility; "
                 "an interface method must be public"))
-        elif feat.kind is FeatureKind.METHOD and feat.visibility.value == "public":
+        elif feat.kind is FeatureKind.METHOD and feat.visibility is Visibility.PUBLIC:
             findings.append(_error(
                 Code.E_METHOD_VIS, cls.name, (feat.id,),
                 f"method '{feat.id}' has public visibility; "
                 "a non-interface method must be non-public"))
 
-    for flow in cls.flows:
+    for flow in flows:
         source = features.get(flow.source)
         target = features.get(flow.target)
-        dangling = [e for e, f in ((flow.source, source), (flow.target, target)) if f is None]
-        if dangling:
-            for endpoint in dangling:
-                findings.append(_error(Code.E_DANGLING_REF, cls.name, (endpoint,),
-                                       f"flow endpoint '{endpoint}' does not name a feature"))
-            continue
+        if source is None or target is None:
+            continue  # reported as E_DANGLING_REF
 
         if flow.kind is FlowKind.CONTROL:
             if not (source.is_method_kind and target.is_method_kind):
@@ -108,7 +96,3 @@ def _validate_class(cls: OcdfClass) -> list[Diagnostic]:
                     "only constructors may modify constant data members"))
     return findings
 
-
-def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:
-    return Diagnostic(code=code, severity=Severity.ERROR, message=message,
-                      subjects=(Subject(class_name, ids),))

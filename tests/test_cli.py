@@ -104,6 +104,15 @@ def test_extract_reads_stdin(tmp_path, capsys, monkeypatch):
     assert deserialize(out.encode()).classes[0].name == "C"
 
 
+def test_repeated_stdin_is_a_usage_error(capsys, monkeypatch):
+    document = b'{"format_version":1,"classes":[]}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document)))
+    code, out, err = run_cli(capsys, "validate", "-", "-")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "'-'" in err
+    assert sys.stdin.buffer.read() == document  # rejected before any input was read
+
+
 def test_validate_flags_bad_model(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text(BAD_MODEL)

@@ -9,6 +9,7 @@ from ocdf.model import (
     FeatureKind,
     Flow,
     FlowKind,
+    OcdfClass,
     OcdfModel,
     Visibility,
     build_class,
@@ -16,6 +17,7 @@ from ocdf.model import (
     deserialize,
     serialize,
 )
+from ocdf.validator import validate
 
 from generators import random_valid_model
 
@@ -173,6 +175,13 @@ def test_deserialize_rejects_wrong_format_version():
     assert [d.code for d in err.value.diagnostics] == [Code.E_PARSE]
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_deserialize_rejects_non_integer_format_version(version):
+    with pytest.raises(ModelError) as err:
+        deserialize(f'{{"format_version":{version},"classes":[]}}'.encode())
+    assert [d.code for d in err.value.diagnostics] == [Code.E_PARSE]
+
+
 def test_deserialize_collects_multiple_problems():
     doc = {"format_version": 1, "classes": [{"name": "C", "features": [
         {"id": "x", "kind": "banana", "name": "x", "decl": "", "visibility": "secret"},
@@ -197,3 +206,63 @@ def test_serialize_is_deterministic():
     rng = random.Random(7)
     model = random_valid_model(rng)
     assert serialize(model) == serialize(model)
+
+
+# Structural rules are owned by one check in the model; building, loading and
+# validating the same defective classes must report the same findings.
+STRUCTURAL_DEFECTS = {
+    "duplicate_feature_id": (Code.E_DUP_ID, [("C", [member("x"), method("x")], [])]),
+    "dangling_endpoint": (Code.E_DANGLING_REF,
+                          [("C", [method("f")], [Flow(FlowKind.DATA, "ghost", "f")])]),
+    "repeated_flow_triple": (None, [("C", [member("m"), method("f")],
+                                     [Flow(FlowKind.DATA, "m", "f"),
+                                      Flow(FlowKind.DATA, "m", "f", "again")])]),
+    "duplicate_class_name": (Code.E_DUP_ID, [("C", [], []), ("C", [], [])]),
+}
+
+
+def _finding_set(diagnostics):
+    return {(d.code, d.subjects, d.message) for d in diagnostics}
+
+
+def _raised(call):
+    try:
+        call()
+    except ModelError as err:
+        return _finding_set(err.diagnostics)
+    return set()
+
+
+@pytest.mark.parametrize("code, classes", STRUCTURAL_DEFECTS.values(), ids=STRUCTURAL_DEFECTS)
+def test_structural_rules_agree_across_build_load_and_validate(code, classes):
+    model = OcdfModel(classes=tuple(OcdfClass(name, tuple(feats), tuple(flows))
+                                    for name, feats, flows in classes))
+    built = _raised(lambda: build_model([build_class(*spec) for spec in classes]))
+    loaded = _raised(lambda: deserialize(serialize(model)))
+    assert {c for c, _, _ in built} == ({code} if code else set())
+    assert built == loaded == _finding_set(validate(model))
+
+
+def test_deserialize_flow_without_source_is_only_a_parse_error():
+    doc = {"format_version": 1, "classes": [{"name": "C", "features": [
+        {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "private"}
+    ], "flows": [{"kind": "data", "target": "f"}]}]}
+    with pytest.raises(ModelError) as err:
+        deserialize(json.dumps(doc))
+    assert [d.code for d in err.value.diagnostics] == [Code.E_PARSE]
+
+
+def test_deserialize_rejects_empty_flow_endpoint():
+    doc = {"format_version": 1, "classes": [{"name": "C", "features": [
+        {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "private"}
+    ], "flows": [{"kind": "data", "source": "", "target": "f"}]}]}
+    with pytest.raises(ModelError) as err:
+        deserialize(json.dumps(doc))
+    assert [(d.code, d.subjects[0].ids) for d in err.value.diagnostics] == [
+        (Code.E_DANGLING_REF, ("",))]
+
+
+def test_validate_judges_a_repeated_flow_triple_once():
+    cls = OcdfClass("C", (member("a"), member("b")),
+                    (Flow(FlowKind.DATA, "a", "b"), Flow(FlowKind.DATA, "a", "b")))
+    assert [d.code for d in validate(OcdfModel(classes=(cls,)))] == [Code.E_DF_ENDPOINT]
