@@ -13,10 +13,12 @@ Three views, all pure:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
-from .model import Feature, FeatureKind, Flow, FlowKind, OcdfClass
+from .model import FeatureKind, Flow, FlowKind, OcdfClass
 
 
 class AbstractionLevel(str, Enum):
@@ -67,7 +69,12 @@ class SubstructureReport:
 
 
 def substructures(cls: OcdfClass) -> SubstructureReport:
-    """Connected components of the undirected feature/flow graph."""
+    """Connected components of the undirected feature/flow graph.
+
+    Cut suggestions count, for each pair of components, the feature pairs
+    across them whose names share a leading token: one token histogram per
+    component, summing n_i * n_j over the components that share a token.
+    """
     parent = {f.id: f.id for f in cls.features}
 
     def find(x: str) -> str:
@@ -89,19 +96,17 @@ def substructures(cls: OcdfClass) -> SubstructureReport:
     components = sorted((tuple(sorted(ids)) for ids in groups.values()),
                         key=lambda c: c[0])
 
-    suggestions = []
     names = {f.id: f.name for f in cls.features}
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            count = sum(
-                1
-                for a in components[i]
-                for b in components[j]
-                if _name_token(names[a]) == _name_token(names[b])
-            )
-            if count:
-                suggestions.append(((i, j), count))
-    suggestions.sort(key=lambda s: (-s[1], s[0]))
+    holders: dict[str, list[tuple[int, int]]] = {}
+    for i, component in enumerate(components):
+        for token, n in Counter(_name_token(names[fid]) for fid in component).items():
+            holders.setdefault(token, []).append((i, n))
+    counts: dict[tuple[int, int], int] = {}
+    for held in holders.values():
+        for k, (i, n_i) in enumerate(held):
+            for j, n_j in held[k + 1:]:
+                counts[i, j] = counts.get((i, j), 0) + n_i * n_j
+    suggestions = sorted(counts.items(), key=lambda s: (-s[1], s[0]))
 
     return SubstructureReport(components=tuple(components),
                               cut_suggestions=tuple(suggestions))
@@ -143,75 +148,119 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
     plus a distinct reader; the hazard is reported only if two of the
     conflicting methods are reachable over control flows from distinct
     interface methods (an interface method reaches itself by definition).
+
+    Accessors are indexed in one pass over the data flows and reachability
+    comes from one SCC condensation, so the cost is near-linear in features
+    plus flows.
     """
     features = cls.feature_map()
-    entries = _entry_points(cls, features)
+    writers: dict[str, set[str]] = {}
+    readers: dict[str, set[str]] = {}
+    for flow in cls.flows:
+        if flow.kind is not FlowKind.DATA:
+            continue
+        source = features.get(flow.source)
+        if source is not None and source.is_method_kind and not source.is_constructor:
+            writers.setdefault(flow.target, set()).add(source.id)
+        target = features.get(flow.target)
+        if target is not None and target.is_method_kind:
+            readers.setdefault(flow.source, set()).add(target.id)
+    roots, entries = _entry_points(cls)
 
     hazards: list[RaceHazard] = []
     for member in cls.features:
         if member.kind is not FeatureKind.MEMBER or member.is_const:
             continue
-        writers: set[str] = set()
-        readers: set[str] = set()
-        for flow in cls.flows:
-            if flow.kind is not FlowKind.DATA:
-                continue
-            if flow.target == member.id:
-                source = features.get(flow.source)
-                if source is not None and source.is_method_kind and not source.is_constructor:
-                    writers.add(source.id)
-            if flow.source == member.id:
-                target = features.get(flow.target)
-                if target is not None and target.is_method_kind:
-                    readers.add(target.id)
-        if not (len(writers) >= 2 or (writers and readers - writers)):
+        written = writers.get(member.id, set())
+        read = readers.get(member.id, set())
+        if not (len(written) >= 2 or (written and read - written)):
             continue
-        conflicting = writers | readers
-        if not _distinct_entries(conflicting, writers, entries):
+        # Some pair of reached conflicting methods, one a writer, has distinct
+        # entry points iff the reached ones include a writer, number two or
+        # more, and carry two or more bits between them: a writer with one
+        # bit pairs with any method that carries another.
+        reached = [m for m in written | read if m in entries]
+        mask = 0
+        for m in reached:
+            mask |= entries[m]
+        if len(reached) < 2 or written.isdisjoint(reached) or mask.bit_count() < 2:
             continue
-        reached = sorted({e for m in conflicting for e in entries.get(m, ())})
         hazards.append(RaceHazard(member=member.id,
-                                  writers=tuple(sorted(writers)),
-                                  readers=tuple(sorted(readers)),
-                                  entry_points=tuple(reached)))
+                                  writers=tuple(sorted(written)),
+                                  readers=tuple(sorted(read)),
+                                  # roots whose bits are set, in bit (sorted) order
+                                  entry_points=tuple(compress(
+                                      roots, map("1".__eq__, bin(mask)[:1:-1])))))
     hazards.sort(key=lambda h: h.member)
     return hazards
 
 
-def _entry_points(cls: OcdfClass, features: dict[str, Feature]) -> dict[str, set[str]]:
-    """For each method, the interface methods that reach it over control
-    flows. Roots are the interface methods themselves."""
+def _entry_points(cls: OcdfClass) -> tuple[list[str], dict[str, int]]:
+    """The sorted interface method ids, and for each node reachable from one
+    over control flows, the non-zero bitset of those that reach it (bit i is
+    roots[i]; an interface method reaches itself).
+
+    One iterative Tarjan pass (Tarjan 1972) from the roots condenses the
+    control graph into strongly connected components, emitted sinks first;
+    the bits are then ORed forward through the components in topological
+    order, so every node of a component gets the same set.
+    """
     succ: dict[str, list[str]] = {}
     for flow in cls.flows:
         if flow.kind is FlowKind.CONTROL:
             succ.setdefault(flow.source, []).append(flow.target)
+    roots = sorted({f.id for f in cls.features if f.kind is FeatureKind.INTERFACE_METHOD})
 
-    entries: dict[str, set[str]] = {}
-    for root in cls.features:
-        if root.kind is not FeatureKind.INTERFACE_METHOD:
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    component_of: dict[str, int] = {}
+    components: list[list[str]] = []
+    for root in roots:
+        if root in index:
             continue
-        stack = [root.id]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            feature = features.get(node)
-            if feature is not None and feature.is_method_kind:
-                entries.setdefault(node, set()).add(root.id)
-            stack.extend(succ.get(node, ()))
-    return entries
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ.get(root, ())))]
+        while work:
+            node, edges = work[-1]
+            for nxt in edges:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ.get(nxt, ()))))
+                    break
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component: list[str] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component_of[w] = len(components)
+                        component.append(w)
+                        if w == node:
+                            break
+                    components.append(component)
 
-
-def _distinct_entries(conflicting: set[str], writers: set[str],
-                      entries: dict[str, set[str]]) -> bool:
-    methods = sorted(conflicting)
-    for a in methods:
-        for b in methods:
-            if a >= b or (a not in writers and b not in writers):
-                continue
-            ea, eb = entries.get(a, set()), entries.get(b, set())
-            if ea and eb and len(ea | eb) >= 2:
-                return True
-    return False
+    seed = {root: 1 << i for i, root in enumerate(roots)}
+    bits = [0] * len(components)
+    entries: dict[str, int] = {}
+    for c in range(len(components) - 1, -1, -1):
+        mask = bits[c]
+        for node in components[c]:
+            mask |= seed.get(node, 0)
+        for node in components[c]:
+            entries[node] = mask
+            for nxt in succ.get(node, ()):
+                d = component_of[nxt]
+                if d != c:
+                    bits[d] |= mask
+    return roots, entries

@@ -22,6 +22,11 @@ Grammar (EBNF):
 On a syntax error the parser records the error with its span and re-syncs at
 the next member or statement boundary, so one pass reports every problem; it
 never returns a partial tree silently.
+
+Blocks do not nest, so calls inside call arguments are the only nesting. It
+is bounded by MAX_NESTING, far below the interpreter's recursion limit, so
+neither this parser nor the recursive walkers over its trees can overflow
+the stack; a deeper call is a syntax error at its opening parenthesis.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from ..diagnostics import Code, MiniOoError, SourceError
 from ..model import Visibility
 from . import ast
 from .lexer import Token, TokKind, tokenize
+
+MAX_NESTING = 200
 
 _VISIBILITIES = {"public": Visibility.PUBLIC,
                  "protected": Visibility.PROTECTED,
@@ -236,19 +243,23 @@ class _Parser:
         name = self.expect_ident("feature name")
         return ast.NameExpr(span=_span(start), name=name.text, this_qualified=True)
 
-    def call_rest(self, callee: ast.NameExpr) -> ast.CallExpr:
+    def call_rest(self, callee: ast.NameExpr, depth: int = 1) -> ast.CallExpr:
+        """The rest of a call; depth counts the calls it is nested in, itself
+        included."""
+        if depth > MAX_NESTING:
+            self.fail(f"calls nest deeper than {MAX_NESTING} levels")
         self.expect("(")
         args: list[ast.Expr] = []
         if not self.at(")"):
             while True:
-                args.append(self.expression())
+                args.append(self.expression(depth))
                 if not self.accept(","):
                     break
         self.expect(")")
         return ast.CallExpr(span=callee.span, name=callee.name, args=tuple(args),
                             this_qualified=callee.this_qualified)
 
-    def expression(self) -> ast.Expr:
+    def expression(self, depth: int = 0) -> ast.Expr:
         tok = self.peek()
         if tok.kind is TokKind.INT:
             self.next()
@@ -259,13 +270,13 @@ class _Parser:
         if self.at("this"):
             name = self.this_name()
             if self.at("("):
-                return self.call_rest(name)
+                return self.call_rest(name, depth + 1)
             return name
         if tok.kind is TokKind.IDENT:
             self.next()
             name = ast.NameExpr(span=_span(tok), name=tok.text)
             if self.at("("):
-                return self.call_rest(name)
+                return self.call_rest(name, depth + 1)
             return name
         self.fail(f"expected an expression before {tok.describe()}")
 

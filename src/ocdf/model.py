@@ -147,12 +147,20 @@ def _check_class(name: str, features: Iterable[Feature], flows: Iterable[Flow],
         feature_map[feat.id] = feat
     kept: dict[tuple[FlowKind, str, str], Flow] = {}
     for flow in flows:
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in feature_map:
-                problems.append(_error(Code.E_DANGLING_REF, name, (endpoint,),
-                                       f"flow endpoint '{endpoint}' does not name a feature"))
-        kept.setdefault(flow.key(), flow)
+        source, target = flow.source, flow.target
+        if source not in feature_map:
+            problems.append(_dangling(name, source))
+        if target not in feature_map:
+            problems.append(_dangling(name, target))
+        key = (flow.kind, source, target)  # Flow.key(), inlined on this hot path
+        if key not in kept:
+            kept[key] = flow
     return feature_map, tuple(kept.values())
+
+
+def _dangling(class_name: str, endpoint: str) -> Diagnostic:
+    return _error(Code.E_DANGLING_REF, class_name, (endpoint,),
+                  f"flow endpoint '{endpoint}' does not name a feature")
 
 
 def _check_class_names(classes: Iterable[OcdfClass], problems: list[Diagnostic]) -> None:
@@ -215,21 +223,22 @@ def serialize(model: OcdfModel) -> bytes:
 def deserialize(data: bytes | str) -> OcdfModel:
     """Load a model document, checking every structural rule.
 
-    Raises ModelError carrying E_PARSE (malformed document), E_BAD_ENUM
-    (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
+    Raises ModelError carrying E_PARSE (malformed or too deeply nested
+    document), E_BAD_ENUM (unknown kind/visibility token), E_DUP_ID, or
+    E_DANGLING_REF.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
+    loader = _Loader()
     try:
-        doc = json.loads(data)
+        model = loader.model(json.loads(data))
     except json.JSONDecodeError as exc:
         raise ModelError([_parse_problem(f"malformed JSON: {exc}")]) from exc
-
-    loader = _Loader()
-    model = loader.model(doc)
+    except RecursionError as exc:
+        raise ModelError([_parse_problem("document nests too deeply")]) from exc
     if loader.problems:
         raise ModelError(loader.problems)
     return model
@@ -298,62 +307,76 @@ class _Loader:
         if not isinstance(raw, dict):
             self.problems.append(_parse_problem(f"features[{index}] must be an object", class_name))
             return Feature(id=f"<features[{index}]>", kind=FeatureKind.MEMBER, name="")
-        fid = self._req_str(raw, "id", class_name, f"features[{index}]")
-        name = self._req_str(raw, "name", class_name, f"features[{index}]")
-        decl = self._req_str(raw, "decl", class_name, f"features[{index}]")
-        kind = self._enum(raw, "kind", FeatureKind, class_name, fid)
-        visibility = self._enum(raw, "visibility", Visibility, class_name, fid)
-        return Feature(
-            id=fid or f"<features[{index}]>",
-            kind=kind or FeatureKind.MEMBER,
-            name=name,
-            decl=decl,
-            visibility=visibility or Visibility.PRIVATE,
-            is_static=self._flag(raw, "is_static", class_name, fid),
-            is_const=self._flag(raw, "is_const", class_name, fid),
-            is_constructor=self._flag(raw, "is_constructor", class_name, fid),
-            inherited=self._flag(raw, "inherited", class_name, fid),
-        )
+        get = raw.get
+        fid, name, decl = get("id"), get("name"), get("decl")
+        if not isinstance(fid, str):
+            fid = self._not_str("id", class_name, f"features[{index}]", "")
+        if not isinstance(name, str):
+            name = self._not_str("name", class_name, f"features[{index}]", "")
+        if not isinstance(decl, str):
+            decl = self._not_str("decl", class_name, f"features[{index}]", "")
+        try:
+            kind = _FEATURE_KINDS[get("kind")]
+        except (KeyError, TypeError):
+            kind = self._bad_token(raw, "kind", class_name, fid, FeatureKind.MEMBER)
+        try:
+            visibility = _VISIBILITIES[get("visibility")]
+        except (KeyError, TypeError):
+            visibility = self._bad_token(raw, "visibility", class_name, fid, Visibility.PRIVATE)
+        flags = (get("is_static", False), get("is_const", False),
+                 get("is_constructor", False), get("inherited", False))
+        # one test for all four flags (bool has no subclasses)
+        if not (type(flags[0]) is type(flags[1]) is type(flags[2]) is type(flags[3]) is bool):
+            flags = tuple(self._flag(value, key, class_name, fid)
+                          for value, key in zip(flags, _FLAG_KEYS))
+        return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility, *flags)
 
     def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
         if not isinstance(raw, dict):
             self.problems.append(_parse_problem(f"flows[{index}] must be an object", class_name))
             return None
-        kind = self._enum(raw, "kind", FlowKind, class_name, f"flows[{index}]")
-        source = self._req_str(raw, "source", class_name, f"flows[{index}]", None)
-        target = self._req_str(raw, "target", class_name, f"flows[{index}]", None)
-        label = raw.get("label")
+        get = raw.get
+        try:
+            kind = _FLOW_KINDS[get("kind")]
+        except (KeyError, TypeError):
+            kind = self._bad_token(raw, "kind", class_name, f"flows[{index}]", FlowKind.DATA)
+        source, target, label = get("source"), get("target"), get("label")
+        if not isinstance(source, str):
+            source = self._not_str("source", class_name, f"flows[{index}]", None)
+        if not isinstance(target, str):
+            target = self._not_str("target", class_name, f"flows[{index}]", None)
         if label is not None and not isinstance(label, str):
             self.problems.append(_parse_problem(f"flows[{index}] label must be a string or null",
                                                 class_name))
             label = None
         if source is None or target is None:
             return None
-        return Flow(kind=kind or FlowKind.DATA, source=source, target=target, label=label)
+        return Flow(kind, source, target, label)
 
-    def _req_str(self, raw: dict, key: str, class_name: str, where: str,
-                 missing: str | None = "") -> str | None:
-        value = raw.get(key)
-        if not isinstance(value, str):
-            self.problems.append(_parse_problem(f"{where} is missing string field '{key}'",
-                                                class_name))
-            return missing
-        return value
+    # These record a diagnostic; they run only once a field has failed its check.
 
-    def _flag(self, raw: dict, key: str, class_name: str, where: str) -> bool:
-        value = raw.get(key, False)
-        if not isinstance(value, bool):
-            self.problems.append(_parse_problem(f"{where}: '{key}' must be a boolean", class_name))
-            return False
-        return value
+    def _not_str(self, key: str, class_name: str, where: str, missing: str | None) -> str | None:
+        self.problems.append(_parse_problem(f"{where} is missing string field '{key}'",
+                                            class_name))
+        return missing
 
-    def _enum(self, raw: dict, key: str, enum_type: type, class_name: str, where: str):
-        value = raw.get(key)
-        try:
-            return enum_type(value)
-        except ValueError:
-            self.problems.append(Diagnostic(
-                code=Code.E_BAD_ENUM, severity=Severity.ERROR,
-                message=f"{where}: unknown {key} token {value!r}",
-                subjects=(Subject(class_name, (where,)),)))
-            return None
+    def _flag(self, value: object, key: str, class_name: str, where: str) -> bool:
+        if type(value) is bool:
+            return value
+        self.problems.append(_parse_problem(f"{where}: '{key}' must be a boolean", class_name))
+        return False
+
+    def _bad_token(self, raw: dict, key: str, class_name: str, where: str, default: Enum) -> Enum:
+        self.problems.append(Diagnostic(
+            code=Code.E_BAD_ENUM, severity=Severity.ERROR,
+            message=f"{where}: unknown {key} token {raw.get(key)!r}",
+            subjects=(Subject(class_name, (where,)),)))
+        return default
+
+
+# Token -> member tables for the loader; a miss raises KeyError, or TypeError
+# for an unhashable token such as a JSON list.
+_FEATURE_KINDS = FeatureKind._value2member_map_
+_VISIBILITIES = Visibility._value2member_map_
+_FLOW_KINDS = FlowKind._value2member_map_
+_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")

@@ -6,8 +6,9 @@ no code shared with the package internals it judges.
 
 from __future__ import annotations
 
+from ocdf.analysis import RaceHazard, SubstructureReport
 from ocdf.minioo import ast
-from ocdf.model import FeatureKind, OcdfClass
+from ocdf.model import Feature, FeatureKind, FlowKind, OcdfClass
 
 
 # --- flow oracle: event-recording interpreter over MiniOO bodies ---------
@@ -191,3 +192,141 @@ def brute_race_members(cls: OcdfClass) -> set[str]:
         if found:
             hazards.add(member.id)
     return hazards
+
+
+# --- reference analyses: the original quadratic implementations -----------
+#
+# Kept verbatim from before the analyses were rewritten to run near-linear
+# time (indexed accessors, one SCC condensation with entry bitsets, token
+# histograms), so the rewrites can be compared on full reports.
+
+def reference_substructures(cls: OcdfClass) -> SubstructureReport:
+    """Connected components of the undirected feature/flow graph."""
+    parent = {f.id: f.id for f in cls.features}
+
+    def find(x: str) -> str:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for flow in cls.flows:
+        a, b = find(flow.source), find(flow.target)
+        if a != b:
+            parent[b] = a
+
+    groups: dict[str, list[str]] = {}
+    for f in cls.features:
+        groups.setdefault(find(f.id), []).append(f.id)
+    components = sorted((tuple(sorted(ids)) for ids in groups.values()),
+                        key=lambda c: c[0])
+
+    suggestions = []
+    names = {f.id: f.name for f in cls.features}
+    for i in range(len(components)):
+        for j in range(i + 1, len(components)):
+            count = sum(
+                1
+                for a in components[i]
+                for b in components[j]
+                if _name_token(names[a]) == _name_token(names[b])
+            )
+            if count:
+                suggestions.append(((i, j), count))
+    suggestions.sort(key=lambda s: (-s[1], s[0]))
+
+    return SubstructureReport(components=tuple(components),
+                              cut_suggestions=tuple(suggestions))
+
+
+def _name_token(name: str) -> str:
+    """Leading name token: up to the first underscore or camelCase hump."""
+    for i, ch in enumerate(name):
+        if ch == "_":
+            return name[:i].lower()
+        if i and ch.isupper():
+            return name[:i].lower()
+    return name.lower()
+
+
+def reference_races(cls: OcdfClass) -> list[RaceHazard]:
+    """Report each non-const member whose accessors conflict.
+
+    A member conflicts when it has two non-constructor writers, or one writer
+    plus a distinct reader; the hazard is reported only if two of the
+    conflicting methods are reachable over control flows from distinct
+    interface methods (an interface method reaches itself by definition).
+    """
+    features = cls.feature_map()
+    entries = _entry_points(cls, features)
+
+    hazards: list[RaceHazard] = []
+    for member in cls.features:
+        if member.kind is not FeatureKind.MEMBER or member.is_const:
+            continue
+        writers: set[str] = set()
+        readers: set[str] = set()
+        for flow in cls.flows:
+            if flow.kind is not FlowKind.DATA:
+                continue
+            if flow.target == member.id:
+                source = features.get(flow.source)
+                if source is not None and source.is_method_kind and not source.is_constructor:
+                    writers.add(source.id)
+            if flow.source == member.id:
+                target = features.get(flow.target)
+                if target is not None and target.is_method_kind:
+                    readers.add(target.id)
+        if not (len(writers) >= 2 or (writers and readers - writers)):
+            continue
+        conflicting = writers | readers
+        if not _distinct_entries(conflicting, writers, entries):
+            continue
+        reached = sorted({e for m in conflicting for e in entries.get(m, ())})
+        hazards.append(RaceHazard(member=member.id,
+                                  writers=tuple(sorted(writers)),
+                                  readers=tuple(sorted(readers)),
+                                  entry_points=tuple(reached)))
+    hazards.sort(key=lambda h: h.member)
+    return hazards
+
+
+def _entry_points(cls: OcdfClass, features: dict[str, Feature]) -> dict[str, set[str]]:
+    """For each method, the interface methods that reach it over control
+    flows. Roots are the interface methods themselves."""
+    succ: dict[str, list[str]] = {}
+    for flow in cls.flows:
+        if flow.kind is FlowKind.CONTROL:
+            succ.setdefault(flow.source, []).append(flow.target)
+
+    entries: dict[str, set[str]] = {}
+    for root in cls.features:
+        if root.kind is not FeatureKind.INTERFACE_METHOD:
+            continue
+        stack = [root.id]
+        seen = set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            feature = features.get(node)
+            if feature is not None and feature.is_method_kind:
+                entries.setdefault(node, set()).add(root.id)
+            stack.extend(succ.get(node, ()))
+    return entries
+
+
+def _distinct_entries(conflicting: set[str], writers: set[str],
+                      entries: dict[str, set[str]]) -> bool:
+    methods = sorted(conflicting)
+    for a in methods:
+        for b in methods:
+            if a >= b or (a not in writers and b not in writers):
+                continue
+            ea, eb = entries.get(a, set()), entries.get(b, set())
+            if ea and eb and len(ea | eb) >= 2:
+                return True
+    return False

@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from ocdf.analysis import (
     AbstractionLevel,
     detect_races,
@@ -18,7 +20,12 @@ from ocdf.model import (
 )
 
 from generators import random_valid_class
-from oracles import brute_components, brute_race_members
+from oracles import (
+    brute_components,
+    brute_race_members,
+    reference_races,
+    reference_substructures,
+)
 
 
 def member(fid, **kw):
@@ -251,3 +258,87 @@ def test_analyses_are_pure():
     assert substructures(cls) == substructures(cls)
     assert detect_races(cls) == detect_races(cls)
     assert project(cls, AbstractionLevel.L1) == project(cls, AbstractionLevel.L1)
+
+
+# the near-linear analyses against the original quadratic ones, on full reports
+
+def test_analyses_match_reference_on_random_classes():
+    rng = random.Random(6061)
+    for max_features, count in ((4, 60), (12, 60), (40, 40), (300, 12)):
+        for _ in range(count):
+            cls = random_valid_class(rng, max_features=max_features)
+            assert detect_races(cls) == reference_races(cls)
+            assert substructures(cls) == reference_substructures(cls)
+
+
+def C(cf, ct):
+    return Flow(FlowKind.CONTROL, cf, ct)
+
+
+def D(df, dt):
+    return Flow(FlowKind.DATA, df, dt)
+
+
+RACE_CASES = {
+    # name: (class, members expected to carry a hazard)
+    "control_cycle": (build_class(
+        "C", [member("x"), method("f"), method("g"), method("h"), iface("A"), iface("B")],
+        [C("A", "f"), C("f", "g"), C("g", "f"), C("B", "h"),
+         D("g", "x"), D("x", "h")]), {"x"}),
+    "self_loop": (build_class(
+        "C", [member("x"), method("f"), iface("A"), iface("B")],
+        [C("A", "f"), C("f", "f"), D("f", "x"), D("x", "B")]), {"x"}),
+    "interface_calls_interface": (build_class(
+        "C", [member("x"), iface("A"), iface("B")],
+        [C("A", "B"), D("B", "x"), D("x", "A")]), {"x"}),
+    "constructor_only_writers": (build_class(
+        "C", [member("x"), method("init", is_constructor=True), iface("A"), iface("B")],
+        [C("A", "init"), C("B", "init"), D("init", "x"), D("x", "A"), D("x", "B")]), set()),
+    "const_members": (build_class(
+        "C", [member("k", is_const=True), method("f"), method("g"), iface("A"), iface("B")],
+        [C("A", "f"), C("B", "g"), D("f", "k"), D("g", "k")]), set()),
+    "unreached_writers": (build_class(
+        "C", [member("x"), member("y"), method("f"), method("g"), iface("A"), iface("B")],
+        [D("f", "x"), D("g", "x"), D("x", "A"), D("f", "y"), D("B", "y"), D("y", "A")]),
+        {"y"}),
+    "one_entry_reaches_all": (build_class(
+        "C", [member("x"), method("f"), method("g"), iface("A")],
+        [C("A", "f"), C("f", "g"), D("f", "x"), D("g", "x")]), set()),
+    "control_through_a_member": (build_class(
+        "C", [member("x"), member("hop"), method("f"), iface("A"), iface("B")],
+        [C("A", "hop"), C("hop", "f"), D("f", "x"), D("x", "B")]), {"x"}),
+    "dangling_control_endpoint": (OcdfClass(
+        "C", (member("x"), method("f"), iface("A"), iface("B")),
+        (C("A", "ghost"), C("ghost", "f"), D("f", "x"), D("x", "B"))), {"x"}),
+    "repeated_feature_ids": (OcdfClass(
+        "C", (member("x"), member("x"), iface("A"), iface("A"), iface("B")),
+        (D("A", "x"), D("B", "x"))), {"x"}),
+}
+
+
+@pytest.mark.parametrize("case", RACE_CASES)
+def test_analyses_match_reference_on_hand_built_classes(case):
+    cls, members = RACE_CASES[case]
+    hazards = detect_races(cls)
+    assert hazards == reference_races(cls)
+    assert {h.member for h in hazards} == members
+    ids = {f.id for f in cls.features}
+    if all(f.source in ids and f.target in ids for f in cls.flows):
+        # substructures, old and new, needs every endpoint to name a feature
+        assert substructures(cls) == reference_substructures(cls)
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
+def test_long_control_graphs_do_not_overflow_the_stack(cycle):
+    n = 20_000
+    flows = [C(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    if cycle:
+        flows += [C(f"c{n - 1}", "c0"), C("B", f"c{n // 2}"), D("x", "c5")]
+    else:
+        flows.append(D("x", "B"))
+    cls = build_class(
+        "C", [member("x"), iface("A"), iface("B"), *(method(f"c{i}") for i in range(n))],
+        [C("A", "c0"), D(f"c{n - 1}", "x"), *flows])
+    hazards = detect_races(cls)
+    assert [(h.member, h.entry_points) for h in hazards] == [("x", ("A", "B"))]
+    assert hazards == reference_races(cls)

@@ -113,6 +113,24 @@ def test_repeated_stdin_is_a_usage_error(capsys, monkeypatch):
     assert sys.stdin.buffer.read() == document  # rejected before any input was read
 
 
+def test_deeply_nested_minioo_is_a_parse_error(tmp_path, capsys):
+    source = tmp_path / "deep.moo"
+    source.write_text("class C { private int f(int a) { return "
+                      + "f(" * 3000 + "a" + ")" * 3000 + "; } }")
+    code, out, err = run_cli(capsys, "extract", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: E_PARSE 1:442: calls nest deeper than 200 levels\n"
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "analyze", "render"])
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys, subcommand):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, subcommand, str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"{doc}: E_PARSE: document nests too deeply\n"
+
+
 def test_validate_flags_bad_model(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text(BAD_MODEL)

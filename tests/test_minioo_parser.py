@@ -1,7 +1,8 @@
 import pytest
 
 from ocdf.diagnostics import Code, MiniOoError
-from ocdf.minioo import ast, parse
+from ocdf.minioo import ast, extract, parse
+from ocdf.minioo.parser import MAX_NESTING
 from ocdf.model import Visibility
 
 
@@ -131,3 +132,28 @@ def test_toplevel_garbage():
     with pytest.raises(MiniOoError) as err:
         parse("42 class C { }")
     assert any("expected 'class'" in e.message for e in err.value.errors)
+
+
+def nested_calls(depth):
+    """A class whose method returns f(f(...f(a)...)) with depth calls."""
+    return ("class C {\n  private int f(int a) {\n    return " + "f(" * depth + "a"
+            + ")" * depth + ";\n  }\n  private int g() { return 1; }\n}\n")
+
+
+def test_calls_nest_up_to_the_bound():
+    program = parse(nested_calls(MAX_NESTING))
+    expr, depth = program.classes[0].methods[0].body[0].value, 0
+    while isinstance(expr, ast.CallExpr):
+        expr, depth = expr.args[0], depth + 1
+    assert depth == MAX_NESTING
+    flows = {(f.kind.value, f.source, f.target) for f in extract(program, "C").flows}
+    assert flows == {("control", "f", "f"), ("data", "f", "f")}
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_deeper_nesting_is_one_parse_error_at_its_parenthesis(depth):
+    with pytest.raises(MiniOoError) as err:
+        parse(nested_calls(depth))
+    # "    return " is 11 columns; each "f(" is two more
+    assert [(e.code, e.line, e.column) for e in err.value.errors] == [
+        (Code.E_PARSE, 3, 13 + 2 * MAX_NESTING)]

@@ -266,3 +266,227 @@ def test_validate_judges_a_repeated_flow_triple_once():
     cls = OcdfClass("C", (member("a"), member("b")),
                     (Flow(FlowKind.DATA, "a", "b"), Flow(FlowKind.DATA, "a", "b")))
     assert [d.code for d in validate(OcdfModel(classes=(cls,)))] == [Code.E_DF_ENDPOINT]
+
+
+# Loader parity: the exact diagnostics (code, message, subjects, in order)
+# that malformed documents produce. The expectations were recorded from the
+# field-by-field loader before it was rewritten for speed.
+_DROP = object()
+_MEMBER_DOC = {"id": "m", "kind": "member", "name": "m", "decl": "int", "visibility": "private"}
+_METHOD_DOC = {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "private"}
+_FLOW_DOC = {"kind": "data", "source": "m", "target": "f"}
+_FLAGS = ("is_static", "is_const", "is_constructor", "inherited")
+
+
+def _patched(base, changes):
+    return {k: v for k, v in {**base, **changes}.items() if v is not _DROP}
+
+
+def _loader_doc(feature=(), flow=(), features=None, flows=None):
+    if features is None:
+        features = [_patched(_MEMBER_DOC, dict(feature)), _METHOD_DOC]
+    if flows is None:
+        flows = [_patched(_FLOW_DOC, dict(flow))]
+    return json.dumps({"format_version": 1,
+                       "classes": [{"name": "C", "features": features, "flows": flows}]})
+
+
+LOADER_CASES = {
+    **{f"feature_{key}_missing": _loader_doc(feature={key: _DROP})
+       for key in ("id", "name", "decl", "kind", "visibility")},
+    **{f"feature_{key}_not_a_string": _loader_doc(feature={key: 3})
+       for key in ("id", "name", "decl", "kind", "visibility")},
+    **{f"feature_kind_{label}": _loader_doc(feature={"kind": value})
+       for label, value in (("list", []), ("object", {}), ("null", None), ("bogus", "bogus"))},
+    "feature_visibility_list": _loader_doc(feature={"visibility": []}),
+    **{f"flag_{key}_{label}": _loader_doc(feature={key: value})
+       for key in _FLAGS for label, value in (("1", 1), ("string", "true"))},
+    "feature_all_fields_wrong": _loader_doc(feature={
+        "id": 3, "kind": [], "name": None, "decl": 1, "visibility": {},
+        "is_static": 1, "is_const": "true", "is_constructor": 0, "inherited": None}),
+    **{f"flow_kind_{label}": _loader_doc(flow={"kind": value})
+       for label, value in (("missing", _DROP), ("int", 3), ("list", []), ("object", {}),
+                            ("null", None), ("bogus", "bogus"))},
+    "flow_source_missing": _loader_doc(flow={"source": _DROP}),
+    "flow_target_missing": _loader_doc(flow={"target": _DROP}),
+    "flow_both_endpoints_missing": _loader_doc(flow={"source": _DROP, "target": _DROP}),
+    "flow_source_not_a_string": _loader_doc(flow={"source": 3}),
+    "flow_target_list": _loader_doc(flow={"target": []}),
+    "flow_label_int": _loader_doc(flow={"label": 3}),
+    "flow_all_fields_wrong": _loader_doc(flow={"kind": {}, "source": 1, "target": None,
+                                               "label": 3}),
+    "feature_not_an_object": _loader_doc(features=[3, _MEMBER_DOC, _METHOD_DOC]),
+    "flow_not_an_object": _loader_doc(flows=["x", _FLOW_DOC]),
+    "features_not_a_list": _loader_doc(features="nope"),
+    "flows_not_a_list": _loader_doc(flows={}),
+    "repeated_flow_triple": _loader_doc(flows=[_FLOW_DOC, {**_FLOW_DOC, "label": "again"}]),
+    "repeated_dangling_flow_triple": _loader_doc(
+        flows=[{**_FLOW_DOC, "source": "ghost"}, {**_FLOW_DOC, "source": "ghost"}]),
+}
+
+LOADER_EXPECTED = {
+    'feature_id_missing': [
+        ('E_PARSE', "features[0] is missing string field 'id'", (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+    ],
+    'feature_name_missing': [
+        ('E_PARSE', "features[0] is missing string field 'name'", (('C', ()),)),
+    ],
+    'feature_decl_missing': [
+        ('E_PARSE', "features[0] is missing string field 'decl'", (('C', ()),)),
+    ],
+    'feature_kind_missing': [
+        ('E_BAD_ENUM', 'm: unknown kind token None', (('C', ('m',)),)),
+    ],
+    'feature_visibility_missing': [
+        ('E_BAD_ENUM', 'm: unknown visibility token None', (('C', ('m',)),)),
+    ],
+    'feature_id_not_a_string': [
+        ('E_PARSE', "features[0] is missing string field 'id'", (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+    ],
+    'feature_name_not_a_string': [
+        ('E_PARSE', "features[0] is missing string field 'name'", (('C', ()),)),
+    ],
+    'feature_decl_not_a_string': [
+        ('E_PARSE', "features[0] is missing string field 'decl'", (('C', ()),)),
+    ],
+    'feature_kind_not_a_string': [
+        ('E_BAD_ENUM', 'm: unknown kind token 3', (('C', ('m',)),)),
+    ],
+    'feature_visibility_not_a_string': [
+        ('E_BAD_ENUM', 'm: unknown visibility token 3', (('C', ('m',)),)),
+    ],
+    'feature_kind_list': [
+        ('E_BAD_ENUM', 'm: unknown kind token []', (('C', ('m',)),)),
+    ],
+    'feature_kind_object': [
+        ('E_BAD_ENUM', 'm: unknown kind token {}', (('C', ('m',)),)),
+    ],
+    'feature_kind_null': [
+        ('E_BAD_ENUM', 'm: unknown kind token None', (('C', ('m',)),)),
+    ],
+    'feature_kind_bogus': [
+        ('E_BAD_ENUM', "m: unknown kind token 'bogus'", (('C', ('m',)),)),
+    ],
+    'feature_visibility_list': [
+        ('E_BAD_ENUM', 'm: unknown visibility token []', (('C', ('m',)),)),
+    ],
+    'flag_is_static_1': [
+        ('E_PARSE', "m: 'is_static' must be a boolean", (('C', ()),)),
+    ],
+    'flag_is_static_string': [
+        ('E_PARSE', "m: 'is_static' must be a boolean", (('C', ()),)),
+    ],
+    'flag_is_const_1': [
+        ('E_PARSE', "m: 'is_const' must be a boolean", (('C', ()),)),
+    ],
+    'flag_is_const_string': [
+        ('E_PARSE', "m: 'is_const' must be a boolean", (('C', ()),)),
+    ],
+    'flag_is_constructor_1': [
+        ('E_PARSE', "m: 'is_constructor' must be a boolean", (('C', ()),)),
+    ],
+    'flag_is_constructor_string': [
+        ('E_PARSE', "m: 'is_constructor' must be a boolean", (('C', ()),)),
+    ],
+    'flag_inherited_1': [
+        ('E_PARSE', "m: 'inherited' must be a boolean", (('C', ()),)),
+    ],
+    'flag_inherited_string': [
+        ('E_PARSE', "m: 'inherited' must be a boolean", (('C', ()),)),
+    ],
+    'feature_all_fields_wrong': [
+        ('E_PARSE', "features[0] is missing string field 'id'", (('C', ()),)),
+        ('E_PARSE', "features[0] is missing string field 'name'", (('C', ()),)),
+        ('E_PARSE', "features[0] is missing string field 'decl'", (('C', ()),)),
+        ('E_BAD_ENUM', ': unknown kind token []', (('C', ('',)),)),
+        ('E_BAD_ENUM', ': unknown visibility token {}', (('C', ('',)),)),
+        ('E_PARSE', ": 'is_static' must be a boolean", (('C', ()),)),
+        ('E_PARSE', ": 'is_const' must be a boolean", (('C', ()),)),
+        ('E_PARSE', ": 'is_constructor' must be a boolean", (('C', ()),)),
+        ('E_PARSE', ": 'inherited' must be a boolean", (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+    ],
+    'flow_kind_missing': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token None', (('C', ('flows[0]',)),)),
+    ],
+    'flow_kind_int': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token 3', (('C', ('flows[0]',)),)),
+    ],
+    'flow_kind_list': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token []', (('C', ('flows[0]',)),)),
+    ],
+    'flow_kind_object': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token {}', (('C', ('flows[0]',)),)),
+    ],
+    'flow_kind_null': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token None', (('C', ('flows[0]',)),)),
+    ],
+    'flow_kind_bogus': [
+        ('E_BAD_ENUM', "flows[0]: unknown kind token 'bogus'", (('C', ('flows[0]',)),)),
+    ],
+    'flow_source_missing': [
+        ('E_PARSE', "flows[0] is missing string field 'source'", (('C', ()),)),
+    ],
+    'flow_target_missing': [
+        ('E_PARSE', "flows[0] is missing string field 'target'", (('C', ()),)),
+    ],
+    'flow_both_endpoints_missing': [
+        ('E_PARSE', "flows[0] is missing string field 'source'", (('C', ()),)),
+        ('E_PARSE', "flows[0] is missing string field 'target'", (('C', ()),)),
+    ],
+    'flow_source_not_a_string': [
+        ('E_PARSE', "flows[0] is missing string field 'source'", (('C', ()),)),
+    ],
+    'flow_target_list': [
+        ('E_PARSE', "flows[0] is missing string field 'target'", (('C', ()),)),
+    ],
+    'flow_label_int': [
+        ('E_PARSE', 'flows[0] label must be a string or null', (('C', ()),)),
+    ],
+    'flow_all_fields_wrong': [
+        ('E_BAD_ENUM', 'flows[0]: unknown kind token {}', (('C', ('flows[0]',)),)),
+        ('E_PARSE', "flows[0] is missing string field 'source'", (('C', ()),)),
+        ('E_PARSE', "flows[0] is missing string field 'target'", (('C', ()),)),
+        ('E_PARSE', 'flows[0] label must be a string or null', (('C', ()),)),
+    ],
+    'feature_not_an_object': [
+        ('E_PARSE', 'features[0] must be an object', (('C', ()),)),
+    ],
+    'flow_not_an_object': [
+        ('E_PARSE', 'flows[0] must be an object', (('C', ()),)),
+    ],
+    'features_not_a_list': [
+        ('E_PARSE', "'features' must be a list", (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+        ('E_DANGLING_REF', "flow endpoint 'f' does not name a feature", (('C', ('f',)),)),
+    ],
+    'flows_not_a_list': [
+        ('E_PARSE', "'flows' must be a list", (('C', ()),)),
+    ],
+    'repeated_flow_triple': [],
+    'repeated_dangling_flow_triple': [
+        ('E_DANGLING_REF', "flow endpoint 'ghost' does not name a feature", (('C', ('ghost',)),)),
+        ('E_DANGLING_REF', "flow endpoint 'ghost' does not name a feature", (('C', ('ghost',)),)),
+    ],
+}
+
+
+def _load_rows(data):
+    try:
+        deserialize(data)
+    except ModelError as err:
+        return [(d.code.value, d.message, tuple((s.class_name, s.ids) for s in d.subjects))
+                for d in err.diagnostics]
+    return []
+
+
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_loader_diagnostics_are_unchanged(case):
+    assert _load_rows(LOADER_CASES[case]) == LOADER_EXPECTED[case]
+
+
+def test_loader_keeps_the_first_of_a_repeated_flow_triple():
+    (flow,) = deserialize(LOADER_CASES["repeated_flow_triple"]).classes[0].flows
+    assert flow.label is None
