@@ -86,6 +86,9 @@ def substructures(cls: OcdfClass) -> SubstructureReport:
         return root
 
     for flow in cls.flows:
+        # a flow naming no feature is the validator's to report; skip it here
+        if flow.source not in parent or flow.target not in parent:
+            continue
         a, b = find(flow.source), find(flow.target)
         if a != b:
             parent[b] = a

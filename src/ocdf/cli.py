@@ -3,8 +3,9 @@
 Subcommands read model documents (or MiniOO source for `extract`) from file
 arguments or standard input ("-"). Exit codes: 0 on success with no error
 diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
-parse/load failures. Multiple inputs are processed one at a time in argument
-order.
+parse/load failures, and also when the program itself fails: an unexpected
+exception ends the run with one `error:` line, not a traceback. Multiple
+inputs are processed one at a time in argument order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ class _Result:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:  # a fault of this program, not of the input
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 2
+
+
+def _main(args: argparse.Namespace) -> int:
     if args.inputs.count("-") > 1:
         print("error: standard input ('-') may be given only once", file=sys.stderr)
         return 2

@@ -1,121 +1,101 @@
-"""MiniOO syntax tree. Every node carries the source span of its first token."""
+"""MiniOO syntax tree. Every node carries the source span of its first token.
+
+Nodes are named tuples, which cost a fraction of a dataclass to create.
+Equality also compares the node type, so ``IntLit(s, 1) != StrLit(s, 1)``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..model import Visibility
+from collections import namedtuple
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    line: int
-    column: int
+class _Node:
+    """Mixin for the named-tuple nodes: equality also compares the type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Span(_Node, namedtuple("Span", "line column")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class Expr:
-    span: Span
+class NameExpr(_Node, namedtuple("NameExpr", "span name this_qualified", defaults=(False,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NameExpr(Expr):
-    name: str
-    this_qualified: bool = False
+class IntLit(_Node, namedtuple("IntLit", "span value", defaults=(0,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit(Expr):
-    value: int = 0
+class StrLit(_Node, namedtuple("StrLit", "span value", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class StrLit(Expr):
-    value: str = ""
+class CallExpr(_Node, namedtuple("CallExpr", "span name args this_qualified",
+                                 defaults=("", (), False))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CallExpr(Expr):
-    name: str = ""
-    args: tuple[Expr, ...] = ()
-    this_qualified: bool = False
+Expr = NameExpr | IntLit | StrLit | CallExpr
 
 
-@dataclass(frozen=True, slots=True)
-class Stmt:
-    span: Span
+class LocalDecl(_Node, namedtuple("LocalDecl", "span type_name name init",
+                                  defaults=("", "", None))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class LocalDecl(Stmt):
-    type_name: str = ""
-    name: str = ""
-    init: Expr | None = None
+class Assign(_Node, namedtuple("Assign", "span target value", defaults=(None, None))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Assign(Stmt):
-    target: NameExpr = None  # type: ignore[assignment]
-    value: Expr = None  # type: ignore[assignment]
+class CallStmt(_Node, namedtuple("CallStmt", "span call", defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CallStmt(Stmt):
-    call: CallExpr = None  # type: ignore[assignment]
+class Return(_Node, namedtuple("Return", "span value", defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Return(Stmt):
-    value: Expr | None = None
+Stmt = LocalDecl | Assign | CallStmt | Return
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
-    span: Span
-    type_name: str
-    name: str
+class Param(_Node, namedtuple("Param", "span type_name name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FieldDecl:
-    span: Span
-    visibility: Visibility
-    is_static: bool
-    is_const: bool
-    type_name: str
-    name: str
+class FieldDecl(_Node, namedtuple("FieldDecl",
+                                  "span visibility is_static is_const type_name name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class MethodDecl:
-    span: Span
-    visibility: Visibility
-    is_static: bool
-    return_type: str
-    name: str
-    params: tuple[Param, ...] = ()
-    body: tuple[Stmt, ...] = ()
+class MethodDecl(_Node, namedtuple("MethodDecl",
+                                   "span visibility is_static return_type name params body",
+                                   defaults=((), ()))):
+    __slots__ = ()
 
     def signature(self) -> str:
         params = ", ".join(f"{p.type_name} {p.name}" for p in self.params)
         return f"{self.name}({params})"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassDecl:
-    span: Span
-    name: str
-    parent: str | None = None
-    fields: tuple[FieldDecl, ...] = ()
-    methods: tuple[MethodDecl, ...] = ()
+class ClassDecl(_Node, namedtuple("ClassDecl", "span name parent fields methods",
+                                  defaults=(None, (), ()))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
-    classes: tuple[ClassDecl, ...] = ()
+class Program(_Node, namedtuple("Program", "classes", defaults=((),))):
+    __slots__ = ()
 
     def find_class(self, name: str) -> ClassDecl | None:
         for cls in self.classes:

@@ -2,11 +2,16 @@
 
 Tokens: identifiers, integer and string literals, punctuation, and the
 reserved words listed in KEYWORDS. `//` comments run to end of line.
+
+A token is a plain ``(kind, text, line, column)`` tuple; a string literal's
+text is its value with escapes resolved. The source is scanned with one
+alternation of named patterns, tried in order at each position, and lines
+and columns are counted from the offsets of newlines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
 
 from ..diagnostics import Code, MiniOoError, SourceError
@@ -26,109 +31,96 @@ KEYWORDS = frozenset({
     "static", "const", "return", "this",
 })
 
-_PUNCT = frozenset("{}();,=:.")
+Token = tuple[TokKind, str, int, int]
+
+# An identifier starts with a character for which str.isalpha() holds, or
+# "_", and goes on with \w, which is exactly str.isalnum() or "_". No regular
+# expression class is exactly the start set, so "word" catches the runs that
+# begin with another \w character and _word() sorts them out. Integers are
+# ASCII digits only.
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("space", r"[ \t\r\n]+|//[^\n]*"),
+    ("ident", r"[A-Za-z_]\w*"),
+    ("punct", r"[{}();,=:.]"),
+    ("int", r"[0-9]+"),
+    ("word", r"\w+"),
+    ("string", r'"(?:\\.|[^"\\\n])*"'),
+    ("unterminated", r'"(?:\\.|[^"\\\n])*\\?'),
+    ("other", r"."),
+)), re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_INT_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokKind
-    text: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        if self.kind is TokKind.EOF:
-            return "end of input"
-        return f"'{self.text}'"
+def describe(token: Token) -> str:
+    return "end of input" if token[0] is TokKind.EOF else f"'{token[1]}'"
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex the whole input; raises MiniOoError on the first bad character."""
+    """Lex the whole input; raises MiniOoError listing every bad character
+    and unterminated string."""
+    IDENT, KEYWORD, PUNCT = TokKind.IDENT, TokKind.KEYWORD, TokKind.PUNCT
     tokens: list[Token] = []
+    append = tokens.append
     errors: list[SourceError] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        start = m.start()
+        if kind == "ident":
+            append((KEYWORD if text in KEYWORDS else IDENT, text, line, start - line_start + 1))
+        elif kind == "punct":
+            append((PUNCT, text, line, start - line_start + 1))
+        elif kind == "int":
+            append((TokKind.INT, text, line, start - line_start + 1))
+        elif kind == "word":
+            _word(text, start, line, line_start, tokens, errors)
+        elif kind == "other":
+            errors.append(SourceError(Code.E_PARSE, f"unexpected character {text!r}",
+                                      line, start - line_start + 1))
+        else:
+            if kind == "string":
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE_RE.sub(r"\1", value)
+                append((TokKind.STRING, value, line, start - line_start + 1))
             else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            advance(source[i:end])
-            i = end
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(text)
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token(TokKind.INT, source[i:j], start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            value = []
-            terminated = False
-            while j < n:
-                c = source[j]
-                if c == "\\" and j + 1 < n:
-                    value.append(source[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    terminated = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                value.append(c)
-                j += 1
-            if not terminated:
                 errors.append(SourceError(Code.E_PARSE, "unterminated string literal",
-                                          start_line, start_col))
-                advance(source[i:j])
-                i = j
-                continue
-            tokens.append(Token(TokKind.STRING, "".join(value), start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokKind.PUNCT, ch, start_line, start_col))
-            advance(ch)
-            i += 1
-            continue
-        errors.append(SourceError(Code.E_PARSE, f"unexpected character {ch!r}",
-                                  start_line, start_col))
-        advance(ch)
-        i += 1
+                                          line, start - line_start + 1))
+            if "\n" in text:  # an escaped newline
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
 
     if errors:
         raise MiniOoError(errors)
-    tokens.append(Token(TokKind.EOF, "", line, col))
+    append((TokKind.EOF, "", line, len(source) - line_start + 1))
     return tokens
+
+
+def _word(text: str, start: int, line: int, line_start: int,
+          tokens: list[Token], errors: list[SourceError]) -> None:
+    """Lex a run of \\w characters that does not start like an identifier.
+    Leading characters that start nothing are errors; an ASCII digit starts
+    an integer, and an identifier start takes the rest of the run."""
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        column = start + i - line_start + 1
+        if ch.isalpha() or ch == "_":
+            kind = TokKind.KEYWORD if text[i:] in KEYWORDS else TokKind.IDENT
+            tokens.append((kind, text[i:], line, column))
+            return
+        digits = _INT_RE.match(text, i)
+        if digits:
+            tokens.append((TokKind.INT, digits.group(), line, column))
+            i = digits.end()
+        else:
+            errors.append(SourceError(Code.E_PARSE, f"unexpected character {ch!r}",
+                                      line, column))
+            i += 1

@@ -34,13 +34,15 @@ from __future__ import annotations
 from ..diagnostics import Code, MiniOoError, SourceError
 from ..model import Visibility
 from . import ast
-from .lexer import Token, TokKind, tokenize
+from .lexer import Token, TokKind, describe, tokenize
 
 MAX_NESTING = 200
 
 _VISIBILITIES = {"public": Visibility.PUBLIC,
                  "protected": Visibility.PROTECTED,
                  "private": Visibility.PRIVATE}
+IDENT, INT, STRING = TokKind.IDENT, TokKind.INT, TokKind.STRING
+KEYWORD, PUNCT, EOF = TokKind.KEYWORD, TokKind.PUNCT, TokKind.EOF
 
 
 def parse(source: str) -> ast.Program:
@@ -57,191 +59,186 @@ class _SyncPoint(Exception):
 
 
 class _Parser:
+    """Walks the token tuples by index. `pos` only moves past a token that is
+    not EOF, and a second EOF pads the list, so tokens[pos + 1] always exists.
+
+    A keyword or punctuation mark is matched by its text alone plus a check
+    that the token is no string literal: no identifier, integer or EOF token
+    can carry such a text."""
+
+    __slots__ = ("tokens", "pos", "errors")
+
     def __init__(self, tokens: list[Token]) -> None:
+        tokens.append(tokens[-1])
         self.tokens = tokens
         self.pos = 0
         self.errors: list[SourceError] = []
 
     # token plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind is not TokKind.EOF:
-            self.pos += 1
-        return tok
-
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind in (TokKind.PUNCT, TokKind.KEYWORD) and tok.text == text
+        tok = self.tokens[self.pos]
+        return tok[1] == text and tok[0] is not STRING
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok[1] == text and tok[0] is not STRING:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.next()
-        self.fail(f"expected '{text}' before {self.peek().describe()}")
+        tok = self.tokens[self.pos]
+        if tok[1] == text and tok[0] is not STRING:
+            self.pos += 1
+            return tok
+        self.fail(f"expected '{text}' before {describe(tok)}")
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind is TokKind.IDENT:
-            return self.next()
-        self.fail(f"expected {what} before {tok.describe()}")
+        tok = self.tokens[self.pos]
+        if tok[0] is IDENT:
+            self.pos += 1
+            return tok
+        self.fail(f"expected {what} before {describe(tok)}")
 
     def fail(self, message: str) -> None:
-        tok = self.peek()
-        self.errors.append(SourceError(Code.E_PARSE, message, tok.line, tok.column))
+        _, _, line, column = self.tokens[self.pos]
+        self.errors.append(SourceError(Code.E_PARSE, message, line, column))
         raise _SyncPoint()
 
     def skip_until(self, *texts: str) -> None:
         """Advance past tokens until one of `texts` or EOF; consumes a ';'."""
-        while self.peek().kind is not TokKind.EOF:
-            if self.at(";"):
-                self.next()
-                return
-            if any(self.at(t) for t in texts):
-                return
-            self.next()
+        tokens, pos = self.tokens, self.pos
+        while True:
+            kind, text, _, _ = tokens[pos]
+            if kind is EOF or (kind is not STRING and text in texts):
+                break
+            pos += 1
+            if kind is PUNCT and text == ";":
+                break
+        self.pos = pos
 
     # grammar
 
     def program(self) -> ast.Program:
         classes: list[ast.ClassDecl] = []
-        while self.peek().kind is not TokKind.EOF:
-            if self.at("class"):
+        while (tok := self.tokens[self.pos])[0] is not EOF:
+            if tok[1] == "class" and tok[0] is KEYWORD:
                 try:
                     classes.append(self.class_decl())
                 except _SyncPoint:
                     self.skip_until("class")
             else:
-                tok = self.peek()
                 self.errors.append(SourceError(
-                    Code.E_PARSE, f"expected 'class' before {tok.describe()}",
-                    tok.line, tok.column))
-                self.next()
+                    Code.E_PARSE, f"expected 'class' before {describe(tok)}",
+                    tok[2], tok[3]))
+                self.pos += 1
                 self.skip_until("class")
-        return ast.Program(classes=tuple(classes))
+        return ast.Program(tuple(classes))
 
     def class_decl(self) -> ast.ClassDecl:
         start = self.expect("class")
-        name = self.expect_ident("class name")
+        name = self.expect_ident("class name")[1]
         parent = None
         if self.accept(":"):
-            parent = self.expect_ident("parent class name").text
+            parent = self.expect_ident("parent class name")[1]
         self.expect("{")
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.tokens[self.pos])[0] is not EOF and not (
+                tok[1] == "}" and tok[0] is PUNCT):
             try:
                 member = self.member()
             except _SyncPoint:
                 self.skip_until("}", "public", "protected", "private")
                 continue
-            if isinstance(member, ast.FieldDecl):
-                fields.append(member)
-            else:
-                methods.append(member)
+            (fields if isinstance(member, ast.FieldDecl) else methods).append(member)
         self.expect("}")
-        return ast.ClassDecl(span=_span(start), name=name.text, parent=parent,
-                             fields=tuple(fields), methods=tuple(methods))
+        return ast.ClassDecl(_span(start), name, parent, tuple(fields), tuple(methods))
 
     def member(self) -> ast.FieldDecl | ast.MethodDecl:
-        start = self.peek()
-        vis = _VISIBILITIES.get(start.text) if start.kind is TokKind.KEYWORD else None
+        start = self.tokens[self.pos]
+        vis = _VISIBILITIES.get(start[1]) if start[0] is KEYWORD else None
         if vis is None:
-            self.fail(f"expected visibility before {start.describe()}")
-        self.next()
+            self.fail(f"expected visibility before {describe(start)}")
+        self.pos += 1
         is_static = self.accept("static")
         is_const = self.accept("const")
-        type_name = self.expect_ident("type").text
-        name = self.expect_ident("member name").text
-        if not is_const and self.at("("):
-            return self.method_rest(start, vis, is_static, type_name, name)
+        type_name = self.expect_ident("type")[1]
+        name = self.expect_ident("member name")[1]
+        if not is_const and self.accept("("):
+            params: list[ast.Param] = []
+            if not self.at(")"):
+                while True:
+                    ptype = self.expect_ident("parameter type")
+                    pname = self.expect_ident("parameter name")[1]
+                    params.append(ast.Param(_span(ptype), ptype[1], pname))
+                    if not self.accept(","):
+                        break
+            self.expect(")")
+            return ast.MethodDecl(_span(start), vis, is_static, type_name, name,
+                                  tuple(params), self.block())
         self.expect(";")
-        return ast.FieldDecl(span=_span(start), visibility=vis, is_static=is_static,
-                             is_const=is_const, type_name=type_name, name=name)
+        return ast.FieldDecl(_span(start), vis, is_static, is_const, type_name, name)
 
-    def method_rest(self, start: Token, vis: Visibility, is_static: bool,
-                    return_type: str, name: str) -> ast.MethodDecl:
-        self.expect("(")
-        params: list[ast.Param] = []
-        if not self.at(")"):
-            while True:
-                ptype = self.expect_ident("parameter type")
-                pname = self.expect_ident("parameter name")
-                params.append(ast.Param(span=_span(ptype), type_name=ptype.text,
-                                        name=pname.text))
-                if not self.accept(","):
-                    break
-        self.expect(")")
-        body = self.block()
-        return ast.MethodDecl(span=_span(start), visibility=vis, is_static=is_static,
-                              return_type=return_type, name=name,
-                              params=tuple(params), body=tuple(body))
-
-    def block(self) -> list[ast.Stmt]:
+    def block(self) -> tuple[ast.Stmt, ...]:
         self.expect("{")
         stmts: list[ast.Stmt] = []
-        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+        while (tok := self.tokens[self.pos])[0] is not EOF and not (
+                tok[1] == "}" and tok[0] is PUNCT):
             try:
                 stmts.append(self.statement())
             except _SyncPoint:
                 self.skip_until("}")
         self.expect("}")
-        return stmts
+        return tuple(stmts)
 
     def statement(self) -> ast.Stmt:
-        tok = self.peek()
-        if self.at("return"):
-            self.next()
-            value = None if self.at(";") else self.expression()
-            self.expect(";")
-            return ast.Return(span=_span(tok), value=value)
-        if self.at("this"):
-            target = self.this_name()
-            if self.at("("):
-                call = self.call_rest(target)
-                self.expect(";")
-                return ast.CallStmt(span=_span(tok), call=call)
-            self.expect("=")
-            value = self.expression()
-            self.expect(";")
-            return ast.Assign(span=_span(tok), target=target, value=value)
-        if tok.kind is TokKind.IDENT:
-            after = self.peek(1)
-            if after.kind is TokKind.IDENT:
+        pos = self.pos
+        tok = self.tokens[pos]
+        kind, text = tok[0], tok[1]
+        if kind is IDENT:
+            after = self.tokens[pos + 1]
+            if after[0] is IDENT:
                 # local declaration: type name [= expr] ;
-                self.next()
-                name = self.next()
+                self.pos = pos + 2
                 init = self.expression() if self.accept("=") else None
                 self.expect(";")
-                return ast.LocalDecl(span=_span(tok), type_name=tok.text,
-                                     name=name.text, init=init)
-            if after.kind is TokKind.PUNCT and after.text == "=":
-                self.next()
-                self.next()
+                return ast.LocalDecl(_span(tok), text, after[1], init)
+            if after[0] is PUNCT and after[1] == "=":
+                self.pos = pos + 2
                 value = self.expression()
                 self.expect(";")
-                target = ast.NameExpr(span=_span(tok), name=tok.text)
-                return ast.Assign(span=_span(tok), target=target, value=value)
-            if after.kind is TokKind.PUNCT and after.text == "(":
-                name = ast.NameExpr(span=_span(tok), name=self.next().text)
-                call = self.call_rest(name)
+                span = _span(tok)
+                return ast.Assign(span, ast.NameExpr(span, text), value)
+            if after[0] is PUNCT and after[1] == "(":
+                self.pos = pos + 1
+                call = self.call_rest(ast.NameExpr(_span(tok), text))
                 self.expect(";")
-                return ast.CallStmt(span=_span(tok), call=call)
-        self.fail(f"expected a statement before {tok.describe()}")
+                return ast.CallStmt(call.span, call)
+        elif kind is KEYWORD:
+            if text == "return":
+                self.pos = pos + 1
+                value = None if self.at(";") else self.expression()
+                self.expect(";")
+                return ast.Return(_span(tok), value)
+            if text == "this":
+                target = self.this_name()
+                if self.at("("):
+                    call = self.call_rest(target)
+                    self.expect(";")
+                    return ast.CallStmt(call.span, call)
+                self.expect("=")
+                value = self.expression()
+                self.expect(";")
+                return ast.Assign(target.span, target, value)
+        self.fail(f"expected a statement before {describe(tok)}")
 
     def this_name(self) -> ast.NameExpr:
         start = self.expect("this")
         self.expect(".")
-        name = self.expect_ident("feature name")
-        return ast.NameExpr(span=_span(start), name=name.text, this_qualified=True)
+        name = self.expect_ident("feature name")[1]
+        return ast.NameExpr(_span(start), name, True)
 
     def call_rest(self, callee: ast.NameExpr, depth: int = 1) -> ast.CallExpr:
         """The rest of a call; depth counts the calls it is nested in, itself
@@ -256,30 +253,32 @@ class _Parser:
                 if not self.accept(","):
                     break
         self.expect(")")
-        return ast.CallExpr(span=callee.span, name=callee.name, args=tuple(args),
-                            this_qualified=callee.this_qualified)
+        return ast.CallExpr(callee.span, callee.name, tuple(args), callee.this_qualified)
 
     def expression(self, depth: int = 0) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind is TokKind.INT:
-            self.next()
-            return ast.IntLit(span=_span(tok), value=int(tok.text))
-        if tok.kind is TokKind.STRING:
-            self.next()
-            return ast.StrLit(span=_span(tok), value=tok.text)
-        if self.at("this"):
-            name = self.this_name()
-            if self.at("("):
-                return self.call_rest(name, depth + 1)
-            return name
-        if tok.kind is TokKind.IDENT:
-            self.next()
-            name = ast.NameExpr(span=_span(tok), name=tok.text)
-            if self.at("("):
-                return self.call_rest(name, depth + 1)
-            return name
-        self.fail(f"expected an expression before {tok.describe()}")
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind is IDENT:
+            self.pos += 1
+            expr = ast.NameExpr(_span(tok), tok[1])
+        elif kind is KEYWORD and tok[1] == "this":
+            expr = self.this_name()
+        elif kind is INT:
+            try:
+                value = int(tok[1])
+            except ValueError:  # more digits than int() converts
+                self.fail(f"integer literal of {len(tok[1])} digits is too long")
+            self.pos += 1
+            return ast.IntLit(_span(tok), value)
+        elif kind is STRING:
+            self.pos += 1
+            return ast.StrLit(_span(tok), tok[1])
+        else:
+            self.fail(f"expected an expression before {describe(tok)}")
+        if self.at("("):
+            return self.call_rest(expr, depth + 1)
+        return expr
 
 
 def _span(tok: Token) -> ast.Span:
-    return ast.Span(line=tok.line, column=tok.column)
+    return tuple.__new__(ast.Span, tok[2:])  # skips Span's Python-level __new__

@@ -315,19 +315,20 @@ class _Loader:
             name = self._not_str("name", class_name, f"features[{index}]", "")
         if not isinstance(decl, str):
             decl = self._not_str("decl", class_name, f"features[{index}]", "")
+        where = fid or f"features[{index}]"  # how the diagnostics below name the feature
         try:
             kind = _FEATURE_KINDS[get("kind")]
         except (KeyError, TypeError):
-            kind = self._bad_token(raw, "kind", class_name, fid, FeatureKind.MEMBER)
+            kind = self._bad_token(raw, "kind", class_name, where, FeatureKind.MEMBER)
         try:
             visibility = _VISIBILITIES[get("visibility")]
         except (KeyError, TypeError):
-            visibility = self._bad_token(raw, "visibility", class_name, fid, Visibility.PRIVATE)
+            visibility = self._bad_token(raw, "visibility", class_name, where, Visibility.PRIVATE)
         flags = (get("is_static", False), get("is_const", False),
                  get("is_constructor", False), get("inherited", False))
         # one test for all four flags (bool has no subclasses)
         if not (type(flags[0]) is type(flags[1]) is type(flags[2]) is type(flags[3]) is bool):
-            flags = tuple(self._flag(value, key, class_name, fid)
+            flags = tuple(self._flag(value, key, class_name, where)
                           for value, key in zip(flags, _FLAG_KEYS))
         return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility, *flags)
 

@@ -6,9 +6,14 @@ no code shared with the package internals it judges.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ocdf.analysis import RaceHazard, SubstructureReport
+from ocdf.diagnostics import Code, MiniOoError, SourceError
 from ocdf.minioo import ast
-from ocdf.model import Feature, FeatureKind, FlowKind, OcdfClass
+from ocdf.minioo.lexer import KEYWORDS, TokKind
+from ocdf.minioo.parser import MAX_NESTING
+from ocdf.model import Feature, FeatureKind, FlowKind, OcdfClass, Visibility
 
 
 # --- flow oracle: event-recording interpreter over MiniOO bodies ---------
@@ -330,3 +335,368 @@ def _distinct_entries(conflicting: set[str], writers: set[str],
             if ea and eb and len(ea | eb) >= 2:
                 return True
     return False
+
+
+# --- reference front end: the original character-loop lexer and parser ------
+#
+# Kept verbatim from before the lexer became one regular expression and the
+# parser an index walk over plain token tuples, so the rewrite can be compared
+# on tokens, trees and error lists. Two differences are intended: the
+# reference lexes any str.isdigit() run as an integer, and it passes every
+# integer literal to int(), so a non-ASCII digit or a literal over int()'s
+# digit limit raises ValueError here. They share only the token kinds, the
+# keyword set and the nesting bound with the package.
+
+_REF_PUNCT = frozenset("{}();,=:.")
+
+
+@dataclass(frozen=True, slots=True)
+class _RefToken:
+    kind: TokKind
+    text: str
+    line: int
+    column: int
+
+    def describe(self) -> str:
+        if self.kind is TokKind.EOF:
+            return "end of input"
+        return f"'{self.text}'"
+
+
+def reference_tokenize(source: str) -> list[_RefToken]:
+    """Lex the whole input; raises MiniOoError on the first bad character."""
+    tokens: list[_RefToken] = []
+    errors: list[SourceError] = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+
+    def advance(text: str) -> None:
+        nonlocal line, col
+        for ch in text:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(ch)
+            i += 1
+            continue
+        if source.startswith("//", i):
+            end = source.find("\n", i)
+            end = n if end == -1 else end
+            advance(source[i:end])
+            i = end
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
+            tokens.append(_RefToken(kind, text, start_line, start_col))
+            advance(text)
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(_RefToken(TokKind.INT, source[i:j], start_line, start_col))
+            advance(source[i:j])
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            value = []
+            terminated = False
+            while j < n:
+                c = source[j]
+                if c == "\\" and j + 1 < n:
+                    value.append(source[j + 1])
+                    j += 2
+                    continue
+                if c == '"':
+                    terminated = True
+                    j += 1
+                    break
+                if c == "\n":
+                    break
+                value.append(c)
+                j += 1
+            if not terminated:
+                errors.append(SourceError(Code.E_PARSE, "unterminated string literal",
+                                          start_line, start_col))
+                advance(source[i:j])
+                i = j
+                continue
+            tokens.append(_RefToken(TokKind.STRING, "".join(value), start_line, start_col))
+            advance(source[i:j])
+            i = j
+            continue
+        if ch in _REF_PUNCT:
+            tokens.append(_RefToken(TokKind.PUNCT, ch, start_line, start_col))
+            advance(ch)
+            i += 1
+            continue
+        errors.append(SourceError(Code.E_PARSE, f"unexpected character {ch!r}",
+                                  start_line, start_col))
+        advance(ch)
+        i += 1
+
+    if errors:
+        raise MiniOoError(errors)
+    tokens.append(_RefToken(TokKind.EOF, "", line, col))
+    return tokens
+
+
+_REF_VISIBILITIES = {"public": Visibility.PUBLIC,
+                 "protected": Visibility.PROTECTED,
+                 "private": Visibility.PRIVATE}
+
+
+def reference_parse(source: str) -> ast.Program:
+    """Parse MiniOO source; raises MiniOoError listing every syntax error."""
+    parser = _RefParser(reference_tokenize(source))
+    program = parser.program()
+    if parser.errors:
+        raise MiniOoError(parser.errors)
+    return program
+
+
+class _RefSyncPoint(Exception):
+    """Internal signal: abandon the current construct and re-sync."""
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_RefToken]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+        self.errors: list[SourceError] = []
+
+    # token plumbing
+
+    def peek(self, offset: int = 0) -> _RefToken:
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+
+    def next(self) -> _RefToken:
+        tok = self.peek()
+        if tok.kind is not TokKind.EOF:
+            self.pos += 1
+        return tok
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.kind in (TokKind.PUNCT, TokKind.KEYWORD) and tok.text == text
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
+            self.next()
+            return True
+        return False
+
+    def expect(self, text: str) -> _RefToken:
+        if self.at(text):
+            return self.next()
+        self.fail(f"expected '{text}' before {self.peek().describe()}")
+
+    def expect_ident(self, what: str) -> _RefToken:
+        tok = self.peek()
+        if tok.kind is TokKind.IDENT:
+            return self.next()
+        self.fail(f"expected {what} before {tok.describe()}")
+
+    def fail(self, message: str) -> None:
+        tok = self.peek()
+        self.errors.append(SourceError(Code.E_PARSE, message, tok.line, tok.column))
+        raise _RefSyncPoint()
+
+    def skip_until(self, *texts: str) -> None:
+        """Advance past tokens until one of `texts` or EOF; consumes a ';'."""
+        while self.peek().kind is not TokKind.EOF:
+            if self.at(";"):
+                self.next()
+                return
+            if any(self.at(t) for t in texts):
+                return
+            self.next()
+
+    # grammar
+
+    def program(self) -> ast.Program:
+        classes: list[ast.ClassDecl] = []
+        while self.peek().kind is not TokKind.EOF:
+            if self.at("class"):
+                try:
+                    classes.append(self.class_decl())
+                except _RefSyncPoint:
+                    self.skip_until("class")
+            else:
+                tok = self.peek()
+                self.errors.append(SourceError(
+                    Code.E_PARSE, f"expected 'class' before {tok.describe()}",
+                    tok.line, tok.column))
+                self.next()
+                self.skip_until("class")
+        return ast.Program(classes=tuple(classes))
+
+    def class_decl(self) -> ast.ClassDecl:
+        start = self.expect("class")
+        name = self.expect_ident("class name")
+        parent = None
+        if self.accept(":"):
+            parent = self.expect_ident("parent class name").text
+        self.expect("{")
+        fields: list[ast.FieldDecl] = []
+        methods: list[ast.MethodDecl] = []
+        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+            try:
+                member = self.member()
+            except _RefSyncPoint:
+                self.skip_until("}", "public", "protected", "private")
+                continue
+            if isinstance(member, ast.FieldDecl):
+                fields.append(member)
+            else:
+                methods.append(member)
+        self.expect("}")
+        return ast.ClassDecl(span=_ref_span(start), name=name.text, parent=parent,
+                             fields=tuple(fields), methods=tuple(methods))
+
+    def member(self) -> ast.FieldDecl | ast.MethodDecl:
+        start = self.peek()
+        vis = _REF_VISIBILITIES.get(start.text) if start.kind is TokKind.KEYWORD else None
+        if vis is None:
+            self.fail(f"expected visibility before {start.describe()}")
+        self.next()
+        is_static = self.accept("static")
+        is_const = self.accept("const")
+        type_name = self.expect_ident("type").text
+        name = self.expect_ident("member name").text
+        if not is_const and self.at("("):
+            return self.method_rest(start, vis, is_static, type_name, name)
+        self.expect(";")
+        return ast.FieldDecl(span=_ref_span(start), visibility=vis, is_static=is_static,
+                             is_const=is_const, type_name=type_name, name=name)
+
+    def method_rest(self, start: _RefToken, vis: Visibility, is_static: bool,
+                    return_type: str, name: str) -> ast.MethodDecl:
+        self.expect("(")
+        params: list[ast.Param] = []
+        if not self.at(")"):
+            while True:
+                ptype = self.expect_ident("parameter type")
+                pname = self.expect_ident("parameter name")
+                params.append(ast.Param(span=_ref_span(ptype), type_name=ptype.text,
+                                        name=pname.text))
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        body = self.block()
+        return ast.MethodDecl(span=_ref_span(start), visibility=vis, is_static=is_static,
+                              return_type=return_type, name=name,
+                              params=tuple(params), body=tuple(body))
+
+    def block(self) -> list[ast.Stmt]:
+        self.expect("{")
+        stmts: list[ast.Stmt] = []
+        while not self.at("}") and self.peek().kind is not TokKind.EOF:
+            try:
+                stmts.append(self.statement())
+            except _RefSyncPoint:
+                self.skip_until("}")
+        self.expect("}")
+        return stmts
+
+    def statement(self) -> ast.Stmt:
+        tok = self.peek()
+        if self.at("return"):
+            self.next()
+            value = None if self.at(";") else self.expression()
+            self.expect(";")
+            return ast.Return(span=_ref_span(tok), value=value)
+        if self.at("this"):
+            target = self.this_name()
+            if self.at("("):
+                call = self.call_rest(target)
+                self.expect(";")
+                return ast.CallStmt(span=_ref_span(tok), call=call)
+            self.expect("=")
+            value = self.expression()
+            self.expect(";")
+            return ast.Assign(span=_ref_span(tok), target=target, value=value)
+        if tok.kind is TokKind.IDENT:
+            after = self.peek(1)
+            if after.kind is TokKind.IDENT:
+                # local declaration: type name [= expr] ;
+                self.next()
+                name = self.next()
+                init = self.expression() if self.accept("=") else None
+                self.expect(";")
+                return ast.LocalDecl(span=_ref_span(tok), type_name=tok.text,
+                                     name=name.text, init=init)
+            if after.kind is TokKind.PUNCT and after.text == "=":
+                self.next()
+                self.next()
+                value = self.expression()
+                self.expect(";")
+                target = ast.NameExpr(span=_ref_span(tok), name=tok.text)
+                return ast.Assign(span=_ref_span(tok), target=target, value=value)
+            if after.kind is TokKind.PUNCT and after.text == "(":
+                name = ast.NameExpr(span=_ref_span(tok), name=self.next().text)
+                call = self.call_rest(name)
+                self.expect(";")
+                return ast.CallStmt(span=_ref_span(tok), call=call)
+        self.fail(f"expected a statement before {tok.describe()}")
+
+    def this_name(self) -> ast.NameExpr:
+        start = self.expect("this")
+        self.expect(".")
+        name = self.expect_ident("feature name")
+        return ast.NameExpr(span=_ref_span(start), name=name.text, this_qualified=True)
+
+    def call_rest(self, callee: ast.NameExpr, depth: int = 1) -> ast.CallExpr:
+        """The rest of a call; depth counts the calls it is nested in, itself
+        included."""
+        if depth > MAX_NESTING:
+            self.fail(f"calls nest deeper than {MAX_NESTING} levels")
+        self.expect("(")
+        args: list[ast.Expr] = []
+        if not self.at(")"):
+            while True:
+                args.append(self.expression(depth))
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        return ast.CallExpr(span=callee.span, name=callee.name, args=tuple(args),
+                            this_qualified=callee.this_qualified)
+
+    def expression(self, depth: int = 0) -> ast.Expr:
+        tok = self.peek()
+        if tok.kind is TokKind.INT:
+            self.next()
+            return ast.IntLit(span=_ref_span(tok), value=int(tok.text))
+        if tok.kind is TokKind.STRING:
+            self.next()
+            return ast.StrLit(span=_ref_span(tok), value=tok.text)
+        if self.at("this"):
+            name = self.this_name()
+            if self.at("("):
+                return self.call_rest(name, depth + 1)
+            return name
+        if tok.kind is TokKind.IDENT:
+            self.next()
+            name = ast.NameExpr(span=_ref_span(tok), name=tok.text)
+            if self.at("("):
+                return self.call_rest(name, depth + 1)
+            return name
+        self.fail(f"expected an expression before {tok.describe()}")
+
+
+def _ref_span(tok: _RefToken) -> ast.Span:
+    return ast.Span(line=tok.line, column=tok.column)

@@ -328,6 +328,17 @@ def test_analyses_match_reference_on_hand_built_classes(case):
         assert substructures(cls) == reference_substructures(cls)
 
 
+def test_substructures_skip_flows_with_a_dangling_endpoint():
+    # detect_races tolerates such a class too; reporting the flow is the
+    # validator's job
+    cls, _ = RACE_CASES["dangling_control_endpoint"]
+    ids = {f.id for f in cls.features}
+    kept = tuple(f for f in cls.flows if f.source in ids and f.target in ids)
+    report = substructures(cls)
+    assert report == reference_substructures(replace(cls, flows=kept))
+    assert report.components == (("A",), ("B", "f", "x"))
+
+
 @pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
 def test_long_control_graphs_do_not_overflow_the_stack(cycle):
     n = 20_000

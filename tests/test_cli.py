@@ -122,6 +122,35 @@ def test_deeply_nested_minioo_is_a_parse_error(tmp_path, capsys):
     assert err == f"{source}: E_PARSE 1:442: calls nest deeper than 200 levels\n"
 
 
+def test_non_ascii_digit_is_an_unexpected_character(tmp_path, capsys):
+    source = tmp_path / "sup.moo"
+    source.write_text("class C { private int f() { return \u00b2; } }", encoding="utf-8")
+    code, out, err = run_cli(capsys, "extract", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: E_PARSE 1:36: unexpected character '\u00b2'\n"
+
+
+def test_overlong_integer_literal_is_one_parse_error(tmp_path, capsys):
+    source = tmp_path / "long.moo"
+    source.write_text("class C {\n  private int f() { return " + "9" * 5000 + "; }\n"
+                      "  private int g() { return 1; }\n}\n")
+    code, out, err = run_cli(capsys, "extract", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: E_PARSE 2:28: integer literal of 5000 digits is too long\n"
+
+
+def test_unexpected_exception_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def broken(args, content, path):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("ocdf.cli._run_validate", broken)
+    doc = tmp_path / "empty.json"
+    doc.write_text('{"format_version":1,"classes":[]}')
+    code, out, err = run_cli(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: internal error: RuntimeError('boom\\nsecond line')\n"
+
+
 @pytest.mark.parametrize("subcommand", ["validate", "analyze", "render"])
 def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys, subcommand):
     doc = tmp_path / "deep.json"

@@ -400,12 +400,13 @@ LOADER_EXPECTED = {
         ('E_PARSE', "features[0] is missing string field 'id'", (('C', ()),)),
         ('E_PARSE', "features[0] is missing string field 'name'", (('C', ()),)),
         ('E_PARSE', "features[0] is missing string field 'decl'", (('C', ()),)),
-        ('E_BAD_ENUM', ': unknown kind token []', (('C', ('',)),)),
-        ('E_BAD_ENUM', ': unknown visibility token {}', (('C', ('',)),)),
-        ('E_PARSE', ": 'is_static' must be a boolean", (('C', ()),)),
-        ('E_PARSE', ": 'is_const' must be a boolean", (('C', ()),)),
-        ('E_PARSE', ": 'is_constructor' must be a boolean", (('C', ()),)),
-        ('E_PARSE', ": 'inherited' must be a boolean", (('C', ()),)),
+        ('E_BAD_ENUM', 'features[0]: unknown kind token []', (('C', ('features[0]',)),)),
+        ('E_BAD_ENUM', 'features[0]: unknown visibility token {}',
+         (('C', ('features[0]',)),)),
+        ('E_PARSE', "features[0]: 'is_static' must be a boolean", (('C', ()),)),
+        ('E_PARSE', "features[0]: 'is_const' must be a boolean", (('C', ()),)),
+        ('E_PARSE', "features[0]: 'is_constructor' must be a boolean", (('C', ()),)),
+        ('E_PARSE', "features[0]: 'inherited' must be a boolean", (('C', ()),)),
         ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
     ],
     'flow_kind_missing': [
