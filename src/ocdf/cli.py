@@ -137,7 +137,9 @@ def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> _Result
 
     class_name = args.class_name
     if class_name is None:
-        if len(program.classes) != 1:
+        if not program.classes:
+            return _Result(2, err=f"error: {path}: declares no class\n")
+        if len(program.classes) > 1:
             return _Result(2, err=f"error: {path}: declares {len(program.classes)} "
                                   "classes; use --class to pick one\n")
         class_name = program.classes[0].name

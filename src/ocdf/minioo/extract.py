@@ -11,6 +11,14 @@ Rules, per method body:
 * locals propagate one level only: a local loaded from field f inside m and
   later passed to n yields f->m and m->n, never f->n.
 
+Name resolution: a parameter or local shadows any feature of the same name
+unless the name is `this.`-qualified. Features resolve in the class's own
+declarations first, then in each ancestor's, nearest first, so a nearer
+level shadows a farther one whatever the kinds; within one class a field
+shadows a method of the same name. Each of these is an E_RESOLVE error: a
+name that resolves to nothing, calling a parameter, local or field,
+assigning to a method, and using a method as a value.
+
 Every field declaration becomes one member feature and every method
 declaration one method feature (public methods become interface methods;
 a method named like its class is a constructor). extract() keeps only the
@@ -21,11 +29,11 @@ reference, marked inherited, together with the flows that touch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..diagnostics import Code, MiniOoError, SourceError
 from ..model import Feature, FeatureKind, Flow, FlowKind, OcdfClass, Visibility, build_class
 from . import ast
+
+_Decl = ast.FieldDecl | ast.MethodDecl
 
 
 def extract(program: ast.Program, class_name: str) -> OcdfClass:
@@ -39,27 +47,13 @@ def extract_lazy_inherited(program: ast.Program, class_name: str) -> OcdfClass:
     return _extract(program, class_name, include_inherited=True)
 
 
-@dataclass(frozen=True, slots=True)
-class _Binding:
-    """Resolution result: where a name lives and what declares it."""
-
-    scope: str  # "param" | "local" | "field" | "method"
-    decl: ast.FieldDecl | ast.MethodDecl | None = None
-    owner: ast.ClassDecl | None = None
-
-    @property
-    def inherited(self) -> bool:
-        return self.owner is not None
-
-
 def _extract(program: ast.Program, class_name: str, include_inherited: bool) -> OcdfClass:
     cls = program.find_class(class_name)
     if cls is None:
         raise MiniOoError([SourceError(Code.E_NO_CLASS,
                                        f"no class named '{class_name}' in the source",
                                        1, 1)])
-    chain = _parent_chain(program, cls)
-    walker = _Walker(cls, chain)
+    walker = _Walker(cls, _parent_chain(program, cls))
     walker.run()
     if walker.errors:
         raise MiniOoError(walker.errors)
@@ -69,12 +63,11 @@ def _extract(program: ast.Program, class_name: str, include_inherited: bool) -> 
     own_ids = {f.id for f in features}
 
     if include_inherited:
-        for binding in walker.inherited_order:
-            if isinstance(binding.decl, ast.FieldDecl):
-                features.append(_field_feature(binding.decl, inherited=True))
+        for decl, owner in walker.inherited.values():
+            if isinstance(decl, ast.FieldDecl):
+                features.append(_field_feature(decl, inherited=True))
             else:
-                features.append(_method_feature(binding.decl, binding.owner.name,
-                                                inherited=True))
+                features.append(_method_feature(decl, owner.name, inherited=True))
         flows = walker.flows
     else:
         flows = [f for f in walker.flows if f.source in own_ids and f.target in own_ids]
@@ -120,139 +113,95 @@ def _parent_chain(program: ast.Program, cls: ast.ClassDecl) -> list[ast.ClassDec
 
 
 class _Walker:
-    """Single pass over all method bodies collecting flows and errors."""
+    """Single pass over all method bodies collecting flows and errors.
+
+    `features` maps every feature name the class can see to its declaration
+    and the ancestor declaring it (None for the class's own): own fields, own
+    methods, then each ancestor's fields and methods, nearest first, the
+    first declaration of a name winning.
+    """
 
     def __init__(self, cls: ast.ClassDecl, chain: list[ast.ClassDecl]) -> None:
         self.cls = cls
-        self.chain = chain
         self.errors: list[SourceError] = []
         self.flows: list[Flow] = []
-        self.inherited_order: list[_Binding] = []
-        self._inherited_seen: set[str] = set()
-        self._own_fields = {f.name: f for f in cls.fields}
-        self._own_methods = {m.name: m for m in cls.methods}
-        self._check_declarations()
-
-    def _check_declarations(self) -> None:
-        seen: dict[str, ast.Span] = {}
-        for decl in (*self.cls.fields, *self.cls.methods):
-            if decl.name in seen:
+        self.features: dict[str, tuple[_Decl, ast.ClassDecl | None]] = {}
+        self.inherited: dict[str, tuple[_Decl, ast.ClassDecl]] = {}  # in first-use order
+        for decl in (*cls.fields, *cls.methods):
+            if decl.name in self.features:
                 self.errors.append(SourceError(
                     Code.E_DUP_ID, f"duplicate declaration of '{decl.name}'",
                     decl.span.line, decl.span.column))
             else:
-                seen[decl.name] = decl.span
+                self.features[decl.name] = (decl, None)
+        for ancestor in chain:
+            for decl in (*ancestor.fields, *ancestor.methods):
+                self.features.setdefault(decl.name, (decl, ancestor))
 
     def run(self) -> None:
         for method in self.cls.methods:
             self._walk_method(method)
 
-    # name resolution: params and locals shadow features; own features shadow
-    # the parent chain level by level, regardless of field/method kind
+    def _error(self, node: ast.NameExpr | ast.CallExpr, message: str) -> None:
+        self.errors.append(SourceError(Code.E_RESOLVE, message,
+                                       node.span.line, node.span.column))
 
-    def _lookup_feature(self, name: str) -> _Binding | None:
-        if name in self._own_fields:
-            return _Binding("field", self._own_fields[name])
-        if name in self._own_methods:
-            return _Binding("method", self._own_methods[name])
-        for ancestor in self.chain:
-            for field in ancestor.fields:
-                if field.name == name:
-                    return _Binding("field", field, ancestor)
-            for method in ancestor.methods:
-                if method.name == name:
-                    return _Binding("method", method, ancestor)
-        return None
+    def _resolve(self, node: ast.NameExpr | ast.CallExpr,
+                 scope: set[str]) -> _Decl | str | None:
+        """The feature declaration a name denotes, the name itself for a
+        parameter or local, or None (with an error) when nothing matches."""
+        if not node.this_qualified and node.name in scope:
+            return node.name
+        found = self.features.get(node.name)
+        if found is None:
+            self._error(node, f"name '{node.name}' does not resolve to anything "
+                              f"in '{self.cls.name}' or its ancestors")
+            return None
+        if found[1] is not None:
+            self.inherited.setdefault(node.name, found)
+        return found[0]
 
-    def _resolve(self, name: str, this_qualified: bool, span: ast.Span,
-                 params: dict[str, ast.Param], locals_: set[str]) -> _Binding | None:
-        if not this_qualified:
-            if name in params:
-                return _Binding("param")
-            if name in locals_:
-                return _Binding("local")
-        binding = self._lookup_feature(name)
-        if binding is None:
-            self.errors.append(SourceError(
-                Code.E_RESOLVE, f"name '{name}' does not resolve to anything "
-                f"in '{self.cls.name}' or its ancestors",
-                span.line, span.column))
-        return binding
-
-    def _note_inherited(self, binding: _Binding) -> None:
-        if binding.inherited and binding.decl.name not in self._inherited_seen:
-            self._inherited_seen.add(binding.decl.name)
-            self.inherited_order.append(binding)
-
-    def _add_flow(self, kind: FlowKind, source: str, target: str) -> None:
-        # repeats are kept; build_class collapses them in first-occurrence order
-        self.flows.append(Flow(kind=kind, source=source, target=target))
-
-    # body traversal
+    # body traversal; repeated flows are kept, build_class collapses them in
+    # first-occurrence order
 
     def _walk_method(self, method: ast.MethodDecl) -> None:
-        params = {p.name: p for p in method.params}
-        locals_: set[str] = set()
+        scope = {p.name for p in method.params}
         for stmt in method.body:
             if isinstance(stmt, ast.LocalDecl):
                 if stmt.init is not None:
-                    self._walk_expr(stmt.init, method, params, locals_, consumed=True)
-                locals_.add(stmt.name)
+                    self._walk_expr(stmt.init, method.name, scope, consumed=True)
+                scope.add(stmt.name)
             elif isinstance(stmt, ast.Assign):
-                self._walk_expr(stmt.value, method, params, locals_, consumed=True)
-                self._walk_store(stmt.target, method, params, locals_)
+                self._walk_expr(stmt.value, method.name, scope, consumed=True)
+                target = stmt.target
+                decl = self._resolve(target, scope)
+                if isinstance(decl, ast.MethodDecl):
+                    self._error(target, f"cannot assign to method '{target.name}'")
+                elif isinstance(decl, ast.FieldDecl):
+                    self.flows.append(Flow(FlowKind.DATA, method.name, decl.name))
             elif isinstance(stmt, ast.CallStmt):
-                self._walk_expr(stmt.call, method, params, locals_, consumed=False)
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is not None:
-                    self._walk_expr(stmt.value, method, params, locals_, consumed=True)
+                self._walk_expr(stmt.call, method.name, scope, consumed=False)
+            elif isinstance(stmt, ast.Return) and stmt.value is not None:
+                self._walk_expr(stmt.value, method.name, scope, consumed=True)
 
-    def _walk_store(self, target: ast.NameExpr, method: ast.MethodDecl,
-                    params: dict[str, ast.Param], locals_: set[str]) -> None:
-        binding = self._resolve(target.name, target.this_qualified, target.span,
-                                params, locals_)
-        if binding is None or binding.scope in ("param", "local"):
-            return
-        if binding.scope == "method":
-            self.errors.append(SourceError(
-                Code.E_RESOLVE, f"cannot assign to method '{target.name}'",
-                target.span.line, target.span.column))
-            return
-        self._note_inherited(binding)
-        self._add_flow(FlowKind.DATA, method.name, binding.decl.name)
-
-    def _walk_expr(self, expr: ast.Expr, method: ast.MethodDecl,
-                   params: dict[str, ast.Param], locals_: set[str],
+    def _walk_expr(self, expr: ast.Expr, caller: str, scope: set[str],
                    consumed: bool) -> None:
         if isinstance(expr, ast.NameExpr):
-            binding = self._resolve(expr.name, expr.this_qualified, expr.span,
-                                    params, locals_)
-            if binding is None or binding.scope in ("param", "local"):
-                return
-            if binding.scope == "method":
-                self.errors.append(SourceError(
-                    Code.E_RESOLVE, f"method '{expr.name}' used as a value",
-                    expr.span.line, expr.span.column))
-                return
-            self._note_inherited(binding)
-            self._add_flow(FlowKind.DATA, binding.decl.name, method.name)
+            decl = self._resolve(expr, scope)
+            if isinstance(decl, ast.MethodDecl):
+                self._error(expr, f"method '{expr.name}' used as a value")
+            elif isinstance(decl, ast.FieldDecl):
+                self.flows.append(Flow(FlowKind.DATA, decl.name, caller))
         elif isinstance(expr, ast.CallExpr):
             for arg in expr.args:
-                self._walk_expr(arg, method, params, locals_, consumed=True)
-            binding = self._resolve(expr.name, expr.this_qualified, expr.span,
-                                    params, locals_)
-            if binding is None:
-                return
-            if binding.scope != "method":
-                self.errors.append(SourceError(
-                    Code.E_RESOLVE, f"'{expr.name}' is not a method",
-                    expr.span.line, expr.span.column))
-                return
-            self._note_inherited(binding)
-            callee = binding.decl.name
-            self._add_flow(FlowKind.CONTROL, method.name, callee)
-            if expr.args:
-                self._add_flow(FlowKind.DATA, method.name, callee)
-            if consumed:
-                self._add_flow(FlowKind.DATA, callee, method.name)
+                self._walk_expr(arg, caller, scope, consumed=True)
+            decl = self._resolve(expr, scope)
+            if isinstance(decl, ast.MethodDecl):
+                self.flows.append(Flow(FlowKind.CONTROL, caller, decl.name))
+                if expr.args:
+                    self.flows.append(Flow(FlowKind.DATA, caller, decl.name))
+                if consumed:
+                    self.flows.append(Flow(FlowKind.DATA, decl.name, caller))
+            elif decl is not None:
+                self._error(expr, f"'{expr.name}' is not a method")
         # literals carry no flow

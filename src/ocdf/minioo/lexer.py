@@ -53,7 +53,11 @@ _INT_RE = re.compile(r"[0-9]+")
 
 
 def describe(token: Token) -> str:
-    return "end of input" if token[0] is TokKind.EOF else f"'{token[1]}'"
+    """Name a token in a diagnostic; a string literal's value is escaped as
+    repr() does, so the diagnostic stays on one line."""
+    if token[0] is TokKind.EOF:
+        return "end of input"
+    return repr(token[1]) if token[0] is TokKind.STRING else f"'{token[1]}'"
 
 
 def tokenize(source: str) -> list[Token]:

@@ -122,6 +122,26 @@ def test_deeply_nested_minioo_is_a_parse_error(tmp_path, capsys):
     assert err == f"{source}: E_PARSE 1:442: calls nest deeper than 200 levels\n"
 
 
+def test_rejected_string_literal_is_quoted_on_one_line(tmp_path, capsys):
+    source = tmp_path / "str.moo"
+    source.write_text('class C { "a\\\nb" }')
+    code, out, err = run_cli(capsys, "extract", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: E_PARSE 1:11: expected visibility before 'a\\nb'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("// no class here\n", "declares no class"),
+    ("class A { } class B { }", "declares 2 classes; use --class to pick one"),
+], ids=["none", "two"])
+def test_extract_without_selector_needs_exactly_one_class(tmp_path, capsys, text, message):
+    source = tmp_path / "c.moo"
+    source.write_text(text)
+    code, out, err = run_cli(capsys, "extract", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: {message}\n"
+
+
 def test_non_ascii_digit_is_an_unexpected_character(tmp_path, capsys):
     source = tmp_path / "sup.moo"
     source.write_text("class C { private int f() { return \u00b2; } }", encoding="utf-8")
@@ -338,3 +358,13 @@ def test_console_entry_point_runs():
         capture_output=True,
     )
     assert result.returncode == 0
+
+
+def test_runtime_imports_only_the_standard_library():
+    script = ("import sys; before = set(sys.modules); import ocdf, ocdf.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True)
+    top_level = {name.partition(".")[0] for name in result.stdout.split()}
+    assert "ocdf" in top_level
+    assert top_level - {"ocdf"} - sys.stdlib_module_names == set()

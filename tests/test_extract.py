@@ -184,6 +184,28 @@ def test_inheritance_cycle():
     assert err.value.errors[0].code == Code.E_INHERIT_CYCLE
 
 
+MISUSE_BASE = "class Base { protected void helper() { } }\n"
+
+
+@pytest.mark.parametrize("body, message, position", [
+    ("private int f(int a) { return a(); }", "'a' is not a method", (3, 31)),
+    ("private void f() { int t = 1; t(); }", "'t' is not a method", (3, 31)),
+    ("private int x;\nprivate void f() { this.x(); }", "'x' is not a method", (4, 20)),
+    ("private void g() { }\nprivate void f() { this.g = 1; }",
+     "cannot assign to method 'g'", (4, 20)),
+    ("private int f() { return this.helper; }",
+     "method 'helper' used as a value", (3, 26)),
+], ids=["called_parameter", "called_local", "called_field", "assigned_method",
+        "inherited_method_as_value"])
+def test_name_misuse_is_one_resolution_error(body, message, position):
+    program = parse(MISUSE_BASE + "class C : Base {\n" + body + "\n}\n")
+    for extractor in (extract, extract_lazy_inherited):
+        with pytest.raises(MiniOoError) as err:
+            extractor(program, "C")
+        assert [(e.code, e.message, (e.line, e.column)) for e in err.value.errors] == [
+            (Code.E_RESOLVE, message, position)]
+
+
 # lazy inheritance
 
 LAZY_SOURCE = """
@@ -270,6 +292,46 @@ class Sub : Base {
     assert all(not f.inherited for f in cls.features)
     assert ("data", "v", "get") in flow_set(cls)
     assert ("control", "talk", "speak") in flow_set(cls)
+
+
+@pytest.mark.parametrize("source, features, flows", [
+    # a nearer level shadows a farther one, whatever the kinds
+    ("""class A { protected int v; }
+class B : A { protected int v() { return 1; } }
+class C : B { public int get() { return this.v(); } }""",
+     [("get", "interface_method", False), ("v", "method", True)],
+     {("control", "get", "v"), ("data", "v", "get")}),
+    ("""class A { protected int v() { return 1; } }
+class B : A { protected int v; }
+class C : B { public int get() { return this.v; } }""",
+     [("get", "interface_method", False), ("v", "member", True)],
+     {("data", "v", "get")}),
+    # within one ancestor, its field wins over its method of the same name
+    ("""class A { protected void v() { } protected int v; }
+class C : A { public int get() { return this.v; } }""",
+     [("get", "interface_method", False), ("v", "member", True)],
+     {("data", "v", "get")}),
+    # this.-qualified names skip parameters and locals
+    ("""class C {
+  private int x;
+  private int y;
+  public int get(int x) { int y = x; this.y = y; return this.x; }
+}""",
+     [("x", "member", False), ("y", "member", False), ("get", "interface_method", False)],
+     {("data", "get", "y"), ("data", "x", "get")}),
+    # inherited features are listed in first-use order
+    ("""class A { protected int a; protected int b; protected void c() { } }
+class C : A { public int get() { this.c(); this.a = this.b; return this.a; } }""",
+     [("get", "interface_method", False), ("c", "method", True), ("b", "member", True),
+      ("a", "member", True)],
+     {("control", "get", "c"), ("data", "b", "get"), ("data", "get", "a"),
+      ("data", "a", "get")}),
+], ids=["nearer_method_shadows_field", "nearer_field_shadows_method",
+        "field_wins_within_a_level", "this_skips_scope", "first_use_order"])
+def test_name_resolution_order(source, features, flows):
+    cls = extract_lazy_inherited(parse(source), "C")
+    assert [(f.id, f.kind.value, f.inherited) for f in cls.features] == features
+    assert flow_set(cls) == flows
 
 
 def test_inherited_const_write_left_to_validator():
