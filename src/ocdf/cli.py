@@ -6,20 +6,24 @@ diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
 parse/load failures, and also when the program itself fails: an unexpected
 exception ends the run with one `error:` line, not a traceback. Multiple
 inputs are processed one at a time in argument order.
+
+Each subcommand's handler takes (args, content, path), lets a bad input raise
+its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
+place where a failed input becomes exit code 2 and its stderr lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import AbstractionLevel, detect_races, substructures
-from .diagnostics import MiniOoError, ModelError
+from .diagnostics import MiniOoError, ModelError, OcdfError
 from .minioo import extract, extract_lazy_inherited, parse
-from .model import OcdfModel, build_model, deserialize, serialize
+from .model import build_model, deserialize, serialize
 from .render import RankDir, RenderOptions, render_model_dot
 from .validator import validate
 
@@ -28,44 +32,28 @@ _YELLOW = "\x1b[33m"
 _RESET = "\x1b[0m"
 
 
-@dataclass(slots=True)
-class _Result:
-    code: int
-    out: str = ""
-    err: str = ""
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _main(args)
-    except Exception as exc:  # a fault of this program, not of the input
-        print(f"error: internal error: {exc!r}", file=sys.stderr)
-        return 2
-
-
-def _main(args: argparse.Namespace) -> int:
     if args.inputs.count("-") > 1:
         print("error: standard input ('-') may be given only once", file=sys.stderr)
         return 2
-    results = _run_all(args)
-    out = sys.stdout
-    if args.output is not None:
+    try:
+        handler = globals()[f"_run_{args.subcommand}"]  # looked up per run
+        results = [_run_one(handler, args, path) for path in args.inputs]
         try:
-            out = open(args.output, "w", encoding="utf-8")
+            out = (contextlib.nullcontext(sys.stdout) if args.output is None
+                   else open(args.output, "w", encoding="utf-8"))
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return 2
-    try:
-        for result in results:
-            if result.out:
-                out.write(result.out)
-            if result.err:
-                sys.stderr.write(result.err)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return max((r.code for r in results), default=0)
+        with out as stream:
+            for _, text, err in results:
+                stream.write(text)
+                sys.stderr.write(err)
+    except Exception as exc:  # a fault of this program, not of the input
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 2
+    return max(code for code, _, _ in results)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,84 +90,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_all(args: argparse.Namespace) -> list[_Result]:
-    handler = {
-        "extract": _run_extract,
-        "validate": _run_validate,
-        "analyze": _run_analyze,
-        "render": _run_render,
-    }[args.subcommand]
-
-    def one(path: str) -> _Result:
-        try:
-            if path == "-":
-                content = sys.stdin.buffer.read()
-            else:
-                with open(path, "rb") as handle:
-                    content = handle.read()
-        except OSError as exc:
-            return _Result(2, err=f"error: cannot read {path}: {exc}\n")
-        return handler(args, content, path)
-
-    return [one(path) for path in args.inputs]
-
-
-def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> _Result:
+def _run_one(handler, args: argparse.Namespace, path: str) -> tuple[int, str, str]:
+    """Read one input and run `handler` on it: (exit code, stdout text,
+    stderr text). A failed input exits 2 with one `error: ...` line for a
+    read, encoding or class-selection failure, or one `PATH: CODE ...` line
+    per diagnostic of a `ModelError` or `MiniOoError`."""
     try:
-        source = content.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return _Result(2, err=f"error: {path}: not valid UTF-8: {exc}\n")
+        if path == "-":
+            content = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                content = handle.read()
+    except OSError as exc:
+        return 2, "", f"error: cannot read {path}: {exc}\n"
     try:
-        program = parse(source)
+        code, out = handler(args, content, path)
+    except UnicodeDecodeError as exc:  # a MiniOO source; documents raise ModelError
+        return 2, "", f"error: {path}: not valid UTF-8: {exc}\n"
+    except ModelError as exc:
+        return 2, "", "".join(f"{path}: {d.render_line()}\n" for d in exc.diagnostics)
     except MiniOoError as exc:
-        lines = "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
-        return _Result(2, err=lines)
+        return 2, "", "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
+    except OcdfError as exc:
+        return 2, "", f"error: {path}: {exc}\n"
+    return code, out, ""
 
+
+def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+    program = parse(content.decode("utf-8"))
     class_name = args.class_name
     if class_name is None:
         if not program.classes:
-            return _Result(2, err=f"error: {path}: declares no class\n")
+            raise OcdfError("declares no class")
         if len(program.classes) > 1:
-            return _Result(2, err=f"error: {path}: declares {len(program.classes)} "
-                                  "classes; use --class to pick one\n")
+            raise OcdfError(f"declares {len(program.classes)} classes; use --class to pick one")
         class_name = program.classes[0].name
-    elif program.find_class(class_name) is None:
-        return _Result(2, err=f"error: {path}: no class named '{class_name}'\n")
-
     extractor = extract_lazy_inherited if args.lazy else extract
-    try:
-        cls = extractor(program, class_name)
-    except MiniOoError as exc:
-        lines = "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
-        return _Result(2, err=lines)
-    document = serialize(build_model([cls])).decode("utf-8")
-    return _Result(0, out=document + "\n")
+    document = serialize(build_model([extractor(program, class_name)]))
+    return 0, document.decode("utf-8") + "\n"
 
 
-def _load_model(content: bytes, path: str) -> OcdfModel | _Result:
-    try:
-        return deserialize(content)
-    except ModelError as exc:
-        lines = "".join(f"{path}: {d.render_line()}\n" for d in exc.diagnostics)
-        return _Result(2, err=lines)
-
-
-def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> _Result:
-    model = _load_model(content, path)
-    if isinstance(model, _Result):
-        return model
-    findings = validate(model)
+def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+    findings = validate(deserialize(content))
     if args.format == "json":
         out = json.dumps([d.to_dict() for d in findings], indent=2) + "\n"
     else:
         out = "".join(_style(d.render_line(), _RED) + "\n" for d in findings)
-    return _Result(1 if findings else 0, out=out)
+    return (1 if findings else 0), out
 
 
-def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> _Result:
-    model = _load_model(content, path)
-    if isinstance(model, _Result):
-        return model
+def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+    model = deserialize(content)
     if args.format == "json":
         report = [
             {
@@ -189,7 +150,7 @@ def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> _Result
             }
             for cls in model.classes
         ]
-        return _Result(0, out=json.dumps(report, indent=2) + "\n")
+        return 0, json.dumps(report, indent=2) + "\n"
 
     lines: list[str] = []
     for cls in model.classes:
@@ -206,19 +167,16 @@ def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> _Result
                 f"(writers: {', '.join(hazard.writers) or '-'}; "
                 f"readers: {', '.join(hazard.readers) or '-'}; "
                 f"entry points: {', '.join(hazard.entry_points) or '-'})", _YELLOW))
-    return _Result(0, out="".join(line + "\n" for line in lines))
+    return 0, "".join(line + "\n" for line in lines)
 
 
-def _run_render(args: argparse.Namespace, content: bytes, path: str) -> _Result:
-    model = _load_model(content, path)
-    if isinstance(model, _Result):
-        return model
+def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
     opts = RenderOptions(
         level=AbstractionLevel(args.level),
         show_inherited=not args.no_inherited,
         rankdir=RankDir.LEFT_RIGHT if args.rankdir == "lr" else RankDir.TOP_DOWN,
     )
-    return _Result(0, out=render_model_dot(model, opts))
+    return 0, render_model_dot(deserialize(content), opts)
 
 
 def _style(line: str, color: str) -> str:

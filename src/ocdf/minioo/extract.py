@@ -48,7 +48,7 @@ def extract_lazy_inherited(program: ast.Program, class_name: str) -> OcdfClass:
 
 
 def _extract(program: ast.Program, class_name: str, include_inherited: bool) -> OcdfClass:
-    cls = program.find_class(class_name)
+    cls = _find_class(program, class_name)
     if cls is None:
         raise MiniOoError([SourceError(Code.E_NO_CLASS,
                                        f"no class named '{class_name}' in the source",
@@ -91,6 +91,17 @@ def _method_feature(decl: ast.MethodDecl, owner_name: str, inherited: bool) -> F
                    inherited=inherited)
 
 
+def _find_class(program: ast.Program, name: str) -> ast.ClassDecl | None:
+    """The class extraction reads under `name`. Class names are unique in a
+    program, so a second declaration is E_DUP_ID at that declaration."""
+    found = [cls for cls in program.classes if cls.name == name]
+    if len(found) > 1:
+        span = found[1].span
+        raise MiniOoError([SourceError(Code.E_DUP_ID, f"duplicate class name '{name}'",
+                                       span.line, span.column)])
+    return found[0] if found else None
+
+
 def _parent_chain(program: ast.Program, cls: ast.ClassDecl) -> list[ast.ClassDecl]:
     """Ancestors from nearest to farthest. A parent that is not declared in
     the program simply ends the chain; a cycle is an error."""
@@ -103,7 +114,7 @@ def _parent_chain(program: ast.Program, cls: ast.ClassDecl) -> list[ast.ClassDec
                 Code.E_INHERIT_CYCLE,
                 f"inheritance cycle through '{current.parent}'",
                 current.span.line, current.span.column)])
-        parent = program.find_class(current.parent)
+        parent = _find_class(program, current.parent)
         if parent is None:
             break
         chain.append(parent)

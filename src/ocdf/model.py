@@ -14,6 +14,7 @@ documents can still be loaded and checked.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -21,6 +22,10 @@ from typing import Iterable, Iterator
 from .diagnostics import Code, Diagnostic, ModelError, Severity, Subject
 
 FORMAT_VERSION = 1
+
+# A surrogate escape: only a document holding one is checked for an unpaired
+# surrogate. A literal prefix keeps the scan far cheaper than json.loads.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class FeatureKind(str, Enum):
@@ -224,8 +229,8 @@ def deserialize(data: bytes | str) -> OcdfModel:
     """Load a model document, checking every structural rule.
 
     Raises ModelError carrying E_PARSE (malformed or too deeply nested
-    document), E_BAD_ENUM (unknown kind/visibility token), E_DUP_ID, or
-    E_DANGLING_REF.
+    document, an over-long integer, an unpaired surrogate), E_BAD_ENUM
+    (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
     """
     if isinstance(data, bytes):
         try:
@@ -234,14 +239,29 @@ def deserialize(data: bytes | str) -> OcdfModel:
             raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
     loader = _Loader()
     try:
-        model = loader.model(json.loads(data))
-    except json.JSONDecodeError as exc:
-        raise ModelError([_parse_problem(f"malformed JSON: {exc}")]) from exc
+        model = loader.model(_json_document(data))
     except RecursionError as exc:
         raise ModelError([_parse_problem("document nests too deeply")]) from exc
     if loader.problems:
         raise ModelError(loader.problems)
     return model
+
+
+def _json_document(data: str) -> object:
+    """`json.loads`, where a value Python cannot hold or write is an E_PARSE
+    like malformed JSON. Nesting too deep raises RecursionError."""
+    try:
+        doc = json.loads(data)
+        if _SURROGATE_ESCAPE.search(data):  # a paired escape decodes to one encodable character
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
+    except json.JSONDecodeError as exc:
+        message = f"malformed JSON: {exc}"
+    except UnicodeEncodeError:
+        message = "malformed JSON: a string holds an unpaired surrogate"
+    except ValueError:  # the rest: an integer past int()'s digit limit
+        message = "malformed JSON: an integer has too many digits"
+    raise ModelError([_parse_problem(message)])
 
 
 def _parse_problem(message: str, class_name: str = "") -> Diagnostic:

@@ -77,6 +77,21 @@ def test_extract_unknown_class_selector(capsys):
     assert "Ghost" in err
 
 
+def test_unknown_class_is_reported_by_extract(capsys):
+    path = CORPUS_DIR / "basics.moo"
+    code, out, err = run_cli(capsys, "extract", "--class", "Ghost", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}: E_NO_CLASS 1:1: no class named 'Ghost' in the source\n"
+
+
+def test_repeated_class_is_one_duplicate_error(tmp_path, capsys):
+    source = tmp_path / "dup.moo"
+    source.write_text("class A { }\nclass A { private int x; }\n")
+    code, out, err = run_cli(capsys, "extract", "--class", "A", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: E_DUP_ID 2:1: duplicate class name 'A'\n"
+
+
 def test_extract_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.moo"
     bad.write_text("class C { private int x }")
@@ -178,6 +193,20 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys, subcommand):
     code, out, err = run_cli(capsys, subcommand, str(doc))
     assert (code, out) == (2, "")
     assert err == f"{doc}: E_PARSE: document nests too deeply\n"
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "analyze", "render"])
+@pytest.mark.parametrize("value, message", [
+    ("9" * 5000, "an integer has too many digits"),
+    ('[{"name": "\\ud800"}]', "a string holds an unpaired surrogate"),
+])
+def test_unrepresentable_document_is_one_parse_error(tmp_path, capsys, subcommand,
+                                                     value, message):
+    doc = tmp_path / "hostile.json"
+    doc.write_text('{"format_version": 1, "classes": ' + value + "}")
+    code, out, err = run_cli(capsys, subcommand, str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"{doc}: E_PARSE: malformed JSON: {message}\n"
 
 
 def test_validate_flags_bad_model(tmp_path, capsys):

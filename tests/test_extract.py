@@ -184,6 +184,29 @@ def test_inheritance_cycle():
     assert err.value.errors[0].code == Code.E_INHERIT_CYCLE
 
 
+@pytest.mark.parametrize("source, selected, repeated, position", [
+    # the selected class: the second body is not silently dropped
+    ("class A { }\nclass A { private int x; }\n", "A", "A", (2, 1)),
+    # an ancestor on the selected class's parent chain
+    ("class P { }\n  class P { private int x; }\n"
+     "class C : P { public int f() { return x; } }\n", "C", "P", (2, 3)),
+])
+@pytest.mark.parametrize("extractor", [extract, extract_lazy_inherited])
+def test_repeated_class_is_a_duplicate_at_its_second_declaration(
+        source, selected, repeated, position, extractor):
+    with pytest.raises(MiniOoError) as err:
+        extractor(parse(source), selected)
+    (error,) = err.value.errors
+    assert (error.code, error.message) == (Code.E_DUP_ID,
+                                           f"duplicate class name '{repeated}'")
+    assert (error.line, error.column) == position
+
+
+def test_repeated_class_off_the_parent_chain_is_not_read():
+    program = parse("class A { } class A { } class B { private int x; }")
+    assert [f.id for f in extract(program, "B").features] == ["x"]
+
+
 MISUSE_BASE = "class Base { protected void helper() { } }\n"
 
 

@@ -130,6 +130,35 @@ def test_deserialize_rejects_malformed_json():
     assert [d.code for d in err.value.diagnostics] == [Code.E_PARSE]
 
 
+@pytest.mark.parametrize("document, message", [
+    ('{"format_version":' + "9" * 5000 + ',"classes":[]}',
+     "malformed JSON: an integer has too many digits"),
+    ('{"format_version":1,"classes":[],"extra":' + "1" * 4301 + '}',
+     "malformed JSON: an integer has too many digits"),
+    ('{"format_version":1,"classes":[{"name":"\\ud800"}]}',
+     "malformed JSON: a string holds an unpaired surrogate"),
+    ('{"format_version":1,"classes":[{"name":"C\\udc00"}]}',
+     "malformed JSON: a string holds an unpaired surrogate"),
+    ('{"format_version":1,"classes":[],"\\uDBFF":0}',
+     "malformed JSON: a string holds an unpaired surrogate"),
+])
+def test_deserialize_rejects_unrepresentable_json_values(document, message):
+    with pytest.raises(ModelError) as err:
+        deserialize(document.encode("ascii"))
+    assert [(d.code, d.message) for d in err.value.diagnostics] == [(Code.E_PARSE, message)]
+
+
+@pytest.mark.parametrize("escaped, name", [
+    ("\\ud83d\\ude00", "\U0001F600"),   # a paired escape is one character
+    ("\\\\ud800", "\\ud800"),          # an escaped backslash, then text
+])
+def test_deserialize_keeps_surrogate_lookalikes(escaped, name):
+    document = '{"format_version":1,"classes":[{"name":"' + escaped + '"}]}'
+    model = deserialize(document.encode("ascii"))
+    assert model.classes[0].name == name
+    assert deserialize(serialize(model)) == model
+
+
 def test_deserialize_rejects_unknown_kind():
     doc = {"format_version": 1, "classes": [{"name": "C", "features": [
         {"id": "x", "kind": "banana", "name": "x", "decl": "", "visibility": "public"}
