@@ -9,7 +9,7 @@ from .analysis import (
     project,
     substructures,
 )
-from .diagnostics import Code, Diagnostic, MiniOoError, ModelError, OcdfError, Severity, Subject
+from .diagnostics import Code, Diagnostic, MiniOoError, ModelError, OcdfError, Subject
 from .dotcheck import check_dot
 from .minioo import extract, extract_lazy_inherited, parse
 from .model import (
@@ -46,7 +46,6 @@ __all__ = [
     "RaceHazard",
     "RankDir",
     "RenderOptions",
-    "Severity",
     "Subject",
     "SubstructureReport",
     "build_class",

@@ -15,22 +15,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from itertools import compress
 
+from .diagnostics import TokenEnum
 from .model import FeatureKind, Flow, FlowKind, OcdfClass
 
 
-class AbstractionLevel(str, Enum):
+class AbstractionLevel(TokenEnum):
     """L1: only data flows touching a data member. L2: L1 plus all control
     flows. L3: everything, including method-to-method data flows."""
 
     L1 = "L1"
     L2 = "L2"
     L3 = "L3"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def project(cls: OcdfClass, level: AbstractionLevel) -> OcdfClass:

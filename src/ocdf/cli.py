@@ -174,7 +174,7 @@ def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[in
     opts = RenderOptions(
         level=AbstractionLevel(args.level),
         show_inherited=not args.no_inherited,
-        rankdir=RankDir.LEFT_RIGHT if args.rankdir == "lr" else RankDir.TOP_DOWN,
+        rankdir=RankDir(args.rankdir.upper()),
     )
     return 0, render_model_dot(deserialize(content), opts)
 

@@ -1,7 +1,7 @@
 """Diagnostic codes, records, and the exceptions that carry them.
 
-Every code maps to exactly one rule; the message template for a code is the
-single place that rule is worded.
+Every code maps to exactly one rule, worded once in the validator's rule
+table.
 """
 
 from __future__ import annotations
@@ -10,7 +10,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-class Code(str, Enum):
+class TokenEnum(str, Enum):
+    """A string enum whose str() and f-string form is the token itself."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Code(TokenEnum):
     """Stable identifiers for every rule a tool in this package can report."""
 
     # Flow and feature constraint violations (found by the validator).
@@ -29,16 +36,6 @@ class Code(str, Enum):
     E_RESOLVE = "E_RESOLVE"
     E_INHERIT_CYCLE = "E_INHERIT_CYCLE"
 
-    def __str__(self) -> str:
-        return self.value
-
-
-class Severity(str, Enum):
-    ERROR = "error"
-
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class Subject:
@@ -47,20 +44,16 @@ class Subject:
     class_name: str
     ids: tuple[str, ...] = ()
 
-    def sort_key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.class_name, self.ids)
-
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
     code: Code
-    severity: Severity
     message: str
     subjects: tuple[Subject, ...] = ()
 
     def sort_key(self) -> tuple:
         first = self.subjects[0].class_name if self.subjects else ""
-        return (first, self.code.value, tuple(s.sort_key() for s in self.subjects))
+        return (first, self.code.value, tuple((s.class_name, s.ids) for s in self.subjects))
 
     def render_line(self) -> str:
         """One-line text form: ``CODE class=<name> subjects=<ids>: message``."""
@@ -75,7 +68,7 @@ class Diagnostic:
     def to_dict(self) -> dict:
         return {
             "code": self.code.value,
-            "severity": self.severity.value,
+            "severity": "error",
             "message": self.message,
             "subjects": [{"class": s.class_name, "ids": list(s.ids)} for s in self.subjects],
         }
@@ -92,14 +85,6 @@ class SourceError:
 
     def render_line(self) -> str:
         return f"{self.code.value} {self.line}:{self.column}: {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code.value,
-            "message": self.message,
-            "line": self.line,
-            "column": self.column,
-        }
 
 
 class OcdfError(Exception):

@@ -38,9 +38,7 @@ from .lexer import Token, TokKind, describe, tokenize
 
 MAX_NESTING = 200
 
-_VISIBILITIES = {"public": Visibility.PUBLIC,
-                 "protected": Visibility.PROTECTED,
-                 "private": Visibility.PRIVATE}
+_VISIBILITIES = Visibility._value2member_map_
 IDENT, INT, STRING = TokKind.IDENT, TokKind.INT, TokKind.STRING
 KEYWORD, PUNCT, EOF = TokKind.KEYWORD, TokKind.PUNCT, TokKind.EOF
 

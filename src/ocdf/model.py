@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
-from .diagnostics import Code, Diagnostic, ModelError, Severity, Subject
+from .diagnostics import Code, Diagnostic, ModelError, Subject, TokenEnum
 
 FORMAT_VERSION = 1
 
@@ -28,30 +27,21 @@ FORMAT_VERSION = 1
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-class FeatureKind(str, Enum):
+class FeatureKind(TokenEnum):
     MEMBER = "member"
     METHOD = "method"
     INTERFACE_METHOD = "interface_method"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class FlowKind(str, Enum):
+class FlowKind(TokenEnum):
     CONTROL = "control"
     DATA = "data"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Visibility(str, Enum):
+class Visibility(TokenEnum):
     PUBLIC = "public"
     PROTECTED = "protected"
     PRIVATE = "private"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 METHOD_KINDS = frozenset({FeatureKind.METHOD, FeatureKind.INTERFACE_METHOD})
@@ -108,7 +98,6 @@ class OcdfClass:
 @dataclass(frozen=True, slots=True)
 class OcdfModel:
     classes: tuple[OcdfClass, ...] = ()
-    format_version: int = FORMAT_VERSION
 
 
 def build_class(name: str, features: Iterable[Feature], flows: Iterable[Flow]) -> OcdfClass:
@@ -179,8 +168,7 @@ def _check_class_names(classes: Iterable[OcdfClass], problems: list[Diagnostic])
 
 
 def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:
-    return Diagnostic(code=code, severity=Severity.ERROR, message=message,
-                      subjects=(Subject(class_name, ids),))
+    return Diagnostic(code, message, (Subject(class_name, ids),))
 
 
 # Field order below is the canonical document field order; do not reorder.
@@ -212,7 +200,7 @@ def serialize(model: OcdfModel) -> bytes:
     """Canonical UTF-8 JSON bytes. Identical models produce identical bytes;
     feature/flow order is preserved as given."""
     doc = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "classes": [
             {
                 "name": cls.name,
@@ -232,11 +220,12 @@ def deserialize(data: bytes | str) -> OcdfModel:
     document, an over-long integer, an unpaired surrogate), E_BAD_ENUM
     (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
+    if isinstance(data, str):  # one strict decode for both: a raw lone surrogate fails it
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
     loader = _Loader()
     try:
         model = loader.model(_json_document(data))
@@ -266,8 +255,7 @@ def _json_document(data: str) -> object:
 
 def _parse_problem(message: str, class_name: str = "") -> Diagnostic:
     subjects = (Subject(class_name),) if class_name else ()
-    return Diagnostic(code=Code.E_PARSE, severity=Severity.ERROR,
-                      message=message, subjects=subjects)
+    return Diagnostic(Code.E_PARSE, message, subjects)
 
 
 class _Loader:
@@ -387,11 +375,10 @@ class _Loader:
         self.problems.append(_parse_problem(f"{where}: '{key}' must be a boolean", class_name))
         return False
 
-    def _bad_token(self, raw: dict, key: str, class_name: str, where: str, default: Enum) -> Enum:
-        self.problems.append(Diagnostic(
-            code=Code.E_BAD_ENUM, severity=Severity.ERROR,
-            message=f"{where}: unknown {key} token {raw.get(key)!r}",
-            subjects=(Subject(class_name, (where,)),)))
+    def _bad_token(self, raw: dict, key: str, class_name: str, where: str,
+                   default: TokenEnum) -> TokenEnum:
+        self.problems.append(_error(Code.E_BAD_ENUM, class_name, (where,),
+                                    f"{where}: unknown {key} token {raw.get(key)!r}"))
         return default
 
 

@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .analysis import AbstractionLevel, project
+from .diagnostics import TokenEnum
 from .model import Feature, FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility
 
 
-class RankDir(str, Enum):
-    TOP_DOWN = "top_down"
-    LEFT_RIGHT = "left_right"
+class RankDir(TokenEnum):
+    """Graph direction; the values are DOT's rankdir tokens."""
 
-    def __str__(self) -> str:
-        return self.value
+    TOP_DOWN = "TB"
+    LEFT_RIGHT = "LR"
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +46,7 @@ def render_dot(cls: OcdfClass, opts: RenderOptions = RenderOptions()) -> str:
 def render_model_dot(model: OcdfModel, opts: RenderOptions = RenderOptions()) -> str:
     """All classes of a model in one digraph, one cluster per class."""
     lines = ["digraph ocdf {"]
-    lines.append(f"  rankdir={'LR' if opts.rankdir is RankDir.LEFT_RIGHT else 'TB'};")
+    lines.append(f"  rankdir={opts.rankdir.value};")
     for cls in model.classes:
         lines.extend(_render_class(cls, opts))
     lines.append("}")
@@ -56,15 +55,10 @@ def render_model_dot(model: OcdfModel, opts: RenderOptions = RenderOptions()) ->
 
 def _render_class(cls: OcdfClass, opts: RenderOptions) -> list[str]:
     cls = project(cls, opts.level)
-    features = list(cls.features)
-    if not opts.show_inherited:
-        kept = {f.id for f in features if not f.inherited}
-        features = [f for f in features if not f.inherited]
-        flows = [f for f in cls.flows if f.source in kept and f.target in kept]
-    else:
-        flows = list(cls.flows)
-
+    features = [f for f in cls.features if opts.show_inherited or not f.inherited]
     ids = _node_ids(features)
+    # No edge for a flow to a hidden feature, or to none (the validator's E_DANGLING_REF).
+    flows = [f for f in cls.flows if f.source in ids and f.target in ids]
     lines = [f"  subgraph cluster_{_sanitize(cls.name)} {{",
              f'    label="{_escape(cls.name)}";']
     for feat in features:

@@ -1,12 +1,14 @@
 """Constraint checks over loaded models.
 
-Each checkable rule has one code and one message template (see _RULES).
-Findings are data, not failures: validate() always returns a list.
+Each checkable rule has one code, and _RULES words each rule once for
+explain(). A finding's message names its subjects and is built where the
+check finds it. Findings are data, not failures: validate() always returns
+a list.
 """
 
 from __future__ import annotations
 
-from .diagnostics import Code, Diagnostic, ModelError, Severity
+from .diagnostics import Code, Diagnostic, ModelError
 from .model import (FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility, _check_class,
                     _check_class_names, _error)
 
@@ -32,9 +34,8 @@ def explain(code: Code | str) -> str:
     try:
         code = Code(code)
     except ValueError:
-        raise ModelError([Diagnostic(
-            code=Code.E_BAD_ENUM, severity=Severity.ERROR,
-            message=f"unknown diagnostic code {code!r}")]) from None
+        raise ModelError([Diagnostic(Code.E_BAD_ENUM,
+                                     f"unknown diagnostic code {code!r}")]) from None
     return _RULES[code]
 
 

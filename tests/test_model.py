@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ocdf.analysis import AbstractionLevel
 from ocdf.diagnostics import Code, ModelError
 from ocdf.model import (
     Feature,
@@ -17,6 +18,7 @@ from ocdf.model import (
     deserialize,
     serialize,
 )
+from ocdf.render import RankDir
 from ocdf.validator import validate
 
 from generators import random_valid_model
@@ -157,6 +159,29 @@ def test_deserialize_keeps_surrogate_lookalikes(escaped, name):
     model = deserialize(document.encode("ascii"))
     assert model.classes[0].name == name
     assert deserialize(serialize(model)) == model
+
+
+def test_deserialize_rejects_a_raw_lone_surrogate_in_a_str():
+    document = '{"format_version":1,"classes":[{"name":"\ud800"}]}'
+    with pytest.raises(ModelError) as err:
+        deserialize(document)
+    [problem] = err.value.diagnostics
+    assert problem.code is Code.E_PARSE
+    assert problem.message.startswith("not valid UTF-8: ")
+
+
+def test_deserialize_str_and_bytes_agree_on_non_ascii_names():
+    document = '{"format_version":1,"classes":[{"name":"\u00e9\U0001F600"}]}'
+    model = deserialize(document)
+    assert model == deserialize(document.encode("utf-8"))
+    assert deserialize(serialize(model)) == model
+
+
+@pytest.mark.parametrize("enum", [Code, FeatureKind, FlowKind, Visibility,
+                                  AbstractionLevel, RankDir])
+def test_token_enums_format_as_their_value(enum):
+    for member in enum:
+        assert str(member) == f"{member}" == member.value
 
 
 def test_deserialize_rejects_unknown_kind():

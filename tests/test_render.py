@@ -8,6 +8,7 @@ from ocdf.model import (
     FeatureKind,
     Flow,
     FlowKind,
+    OcdfClass,
     Visibility,
     build_class,
 )
@@ -103,6 +104,15 @@ def test_hide_inherited_drops_nodes_and_their_flows():
     dot = render_dot(cls, RenderOptions(show_inherited=False))
     assert "p [" not in dot
     assert "->" not in dot
+
+
+def test_dangling_flow_draws_no_edge():
+    cls = OcdfClass("C", (Feature("a", FeatureKind.METHOD, "a"),),
+                    (Flow(FlowKind.DATA, "a", "zz"),))
+    for show_inherited in (True, False):
+        dot = render_dot(cls, RenderOptions(show_inherited=show_inherited))
+        assert check_dot(dot) == []
+        assert "->" not in dot and "zz" not in dot
 
 
 def test_rankdir_option():
