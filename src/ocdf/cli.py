@@ -10,6 +10,11 @@ inputs are processed one at a time in argument order.
 Each subcommand's handler takes (args, content, path), lets a bad input raise
 its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
 place where a failed input becomes exit code 2 and its stderr lines.
+
+A run imports only the modules its subcommand calls (`_CALLS`). `main` binds
+their names as globals of this module unless one is bound already, so a
+caller may rebind any of them (for tracing, say) before or after the import;
+until then they resolve through this module's `__getattr__` (PEP 562).
 """
 
 from __future__ import annotations
@@ -20,12 +25,19 @@ import json
 import os
 import sys
 
-from .analysis import AbstractionLevel, detect_races, substructures
 from .diagnostics import MiniOoError, ModelError, OcdfError
-from .minioo import extract, extract_lazy_inherited, parse
-from .model import build_model, deserialize, serialize
-from .render import RankDir, RenderOptions, render_model_dot
-from .validator import validate
+
+# Subcommand -> {module: the names its handler calls from that module}.
+_CALLS = {
+    "extract": {"minioo": ("parse", "extract", "extract_lazy_inherited"),
+                "model": ("build_model", "serialize")},
+    "validate": {"model": ("deserialize",), "validator": ("validate",)},
+    "analyze": {"model": ("deserialize",), "analysis": ("substructures", "detect_races")},
+    "render": {"model": ("deserialize",), "analysis": ("AbstractionLevel",),
+               "render": ("RankDir", "RenderOptions", "render_model_dot")},
+}
+_HOME = {name: module for calls in _CALLS.values()
+         for module, names in calls.items() for name in names}
 
 _RED = "\x1b[31m"
 _YELLOW = "\x1b[33m"
@@ -38,6 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: standard input ('-') may be given only once", file=sys.stderr)
         return 2
     try:
+        _bind(args.subcommand)
         handler = globals()[f"_run_{args.subcommand}"]  # looked up per run
         results = [_run_one(handler, args, path) for path in args.inputs]
         try:
@@ -54,6 +67,30 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return 2
     return max(code for code, _, _ in results)
+
+
+def _bind(subcommand: str) -> None:
+    """Import the subcommand's modules and bind the names its handler calls,
+    keeping any binding that is already in place."""
+    namespace = globals()
+    for module, names in _CALLS[subcommand].items():
+        loaded = _import(module, names)
+        for name in names:
+            namespace.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(_import(module, (name,)), name)
+
+
+def _import(module: str, names: tuple[str, ...]):
+    """`from .module import names`. This takes the import statement's path,
+    which `-X importtime` reports; importlib.import_module's path it omits."""
+    return __import__(module, globals(), None, names, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +172,7 @@ def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[
     if args.format == "json":
         out = json.dumps([d.to_dict() for d in findings], indent=2) + "\n"
     else:
-        out = "".join(_style(d.render_line(), _RED) + "\n" for d in findings)
+        out = "".join(_style(d.render_line(), _RED, args) + "\n" for d in findings)
     return (1 if findings else 0), out
 
 
@@ -166,7 +203,7 @@ def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
                 f"  warning: possible race on '{hazard.member}' "
                 f"(writers: {', '.join(hazard.writers) or '-'}; "
                 f"readers: {', '.join(hazard.readers) or '-'}; "
-                f"entry points: {', '.join(hazard.entry_points) or '-'})", _YELLOW))
+                f"entry points: {', '.join(hazard.entry_points) or '-'})", _YELLOW, args))
     return 0, "".join(line + "\n" for line in lines)
 
 
@@ -179,8 +216,9 @@ def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[in
     return 0, render_model_dot(deserialize(content), opts)
 
 
-def _style(line: str, color: str) -> str:
-    if os.environ.get("OCDF_NO_COLOR") or not sys.stdout.isatty():
+def _style(line: str, color: str, args: argparse.Namespace) -> str:
+    """Colour a line bound for a terminal; a file named by --output gets none."""
+    if args.output is not None or os.environ.get("OCDF_NO_COLOR") or not sys.stdout.isatty():
         return line
     return f"{color}{line}{_RESET}"
 

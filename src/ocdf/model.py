@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .diagnostics import Code, Diagnostic, ModelError, Subject, TokenEnum
@@ -125,15 +128,25 @@ def build_model(classes: Iterable[OcdfClass]) -> OcdfModel:
     return OcdfModel(classes=classes)
 
 
-def _check_class(name: str, features: Iterable[Feature], flows: Iterable[Flow],
+def _check_class(name: str, features: tuple[Feature, ...], flows: Iterable[Flow],
                  problems: list[Diagnostic]) -> tuple[dict[str, Feature], tuple[Flow, ...]]:
     """The structural rules of one class, owned here for build, load and the
     validator alike: feature ids are unique (E_DUP_ID) and every flow
     endpoint names a feature (E_DANGLING_REF). Violations are appended to
     ``problems`` in input order. Returns the id->feature map (the last
     feature wins a repeated id) and the flows with set semantics over
-    Flow.key(), first occurrence kept."""
-    feature_map: dict[str, Feature] = {}
+    Flow.key(), first occurrence kept.
+
+    A class whose flows come as a tuple is first tested whole, one set
+    operation per rule; only a class that fails that test is walked one
+    feature and one flow at a time to find and report its violations."""
+    if type(flows) is tuple:
+        feature_map = dict(zip(map(_ID, features), features))
+        if (len(feature_map) == len(features)
+                and feature_map.keys() >= {*map(_SOURCE, flows), *map(_TARGET, flows)}
+                and len(set(map(_KEY, flows))) == len(flows)):
+            return feature_map, flows
+    feature_map = {}
     for feat in features:
         if feat.id in feature_map:
             problems.append(_error(Code.E_DUP_ID, name, (feat.id,),
@@ -150,6 +163,12 @@ def _check_class(name: str, features: Iterable[Feature], flows: Iterable[Flow],
         if key not in kept:
             kept[key] = flow
     return feature_map, tuple(kept.values())
+
+
+_ID = attrgetter("id")
+_SOURCE = attrgetter("source")
+_TARGET = attrgetter("target")
+_KEY = attrgetter("kind", "source", "target")  # Flow.key()
 
 
 def _dangling(class_name: str, endpoint: str) -> Diagnostic:
@@ -290,9 +309,14 @@ class _Loader:
             self.problems.append(_parse_problem(f"classes[{index}] is missing a name"))
             name = f"<classes[{index}]>"
 
-        features = tuple(self.feature(f, name, i)
-                         for i, f in enumerate(self._list(raw, "features", name)))
-        _, flows = _check_class(name, features, self.flows(raw, name), self.problems)
+        bulk = _bulk_class(raw)
+        if bulk is not None:
+            features, flows = bulk
+        else:  # an irregular record: this path finds and reports each problem
+            features = tuple(self.feature(f, name, i)
+                             for i, f in enumerate(self._list(raw, "features", name)))
+            flows = self.flows(raw, name)
+        _, flows = _check_class(name, features, flows, self.problems)
         return OcdfClass(name=name, features=features, flows=flows)
 
     def flows(self, raw: dict, class_name: str) -> Iterator[Flow]:
@@ -388,3 +412,55 @@ _FEATURE_KINDS = FeatureKind._value2member_map_
 _VISIBILITIES = Visibility._value2member_map_
 _FLOW_KINDS = FlowKind._value2member_map_
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
+
+# The bulk path: a class whose records all hold every canonical field, each
+# of the right type, loads one field at a time across all records, in
+# C-level loops. Records are built without the generated __init__ (which
+# sets each field through object.__setattr__): object.__new__, then each
+# field's slot descriptor.
+_FEATURE_FIELDS = ("id", "kind", "name", "decl", "visibility", *_FLAG_KEYS)
+_FLOW_FIELDS = ("kind", "source", "target", "label")
+_FEATURE_SLOTS = tuple(getattr(Feature, f).__set__ for f in _FEATURE_FIELDS)
+_FLOW_SLOTS = tuple(getattr(Flow, f).__set__ for f in _FLOW_FIELDS)
+_STR = {str}
+_LABEL_TYPES = {str, type(None)}
+_BOOL = {bool}
+_consume = deque(maxlen=0).extend
+
+
+def _bulk_class(raw: dict) -> tuple[tuple[Feature, ...], tuple[Flow, ...]] | None:
+    """The class's features and flows when every record is regular, else None.
+    Writes no diagnostic: an irregular class goes back to `_Loader`."""
+    features, flows = raw.get("features", []), raw.get("flows", [])
+    if type(features) is not list or type(flows) is not list:
+        return None
+    try:
+        ids, kinds, names, decls, visibilities, *flags = _columns(_FEATURE_FIELDS, features)
+        kinds, visibilities = _tokens(_FEATURE_KINDS, kinds), _tokens(_VISIBILITIES, visibilities)
+        if not ({*map(type, chain(ids, names, decls))} <= _STR and "" not in ids
+                and {*map(type, chain(*flags))} <= _BOOL):
+            return None
+        flow_kinds, sources, targets, labels = _columns(_FLOW_FIELDS, flows)
+        flow_kinds = _tokens(_FLOW_KINDS, flow_kinds)
+        if not ({*map(type, chain(sources, targets))} <= _STR
+                and {*map(type, labels)} <= _LABEL_TYPES):
+            return None
+    except (KeyError, TypeError):  # a missing field, a record or token of the wrong type
+        return None
+    return (_build(Feature, _FEATURE_SLOTS, (ids, kinds, names, decls, visibilities, *flags)),
+            _build(Flow, _FLOW_SLOTS, (flow_kinds, sources, targets, labels)))
+
+
+def _columns(fields: tuple[str, ...], records: list) -> list[tuple]:
+    return [tuple(map(itemgetter(field), records)) for field in fields]
+
+
+def _tokens(table: dict, tokens: tuple) -> tuple:
+    return tuple(map(table.__getitem__, tokens))
+
+
+def _build(cls: type, slots: tuple, columns: tuple) -> tuple:
+    records = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
+    for set_slot, column in zip(slots, columns):
+        _consume(map(set_slot, records, column))
+    return records

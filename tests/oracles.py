@@ -6,14 +6,19 @@ no code shared with the package internals it judges.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ocdf.analysis import RaceHazard, SubstructureReport
-from ocdf.diagnostics import Code, MiniOoError, SourceError
+from ocdf.diagnostics import (Code, Diagnostic, MiniOoError, ModelError, SourceError, Subject,
+                              TokenEnum)
 from ocdf.minioo import ast
 from ocdf.minioo.lexer import KEYWORDS, TokKind
 from ocdf.minioo.parser import MAX_NESTING
-from ocdf.model import Feature, FeatureKind, FlowKind, OcdfClass, Visibility
+from ocdf.model import (FORMAT_VERSION, Feature, FeatureKind, Flow, FlowKind, OcdfClass,
+                        OcdfModel, Visibility)
 
 
 # --- flow oracle: event-recording interpreter over MiniOO bodies ---------
@@ -700,3 +705,238 @@ class _RefParser:
 
 def _ref_span(tok: _RefToken) -> ast.Span:
     return ast.Span(line=tok.line, column=tok.column)
+
+
+# --- reference loader: the per-record document loader ------------------------
+#
+# Kept verbatim, with its structural checks, from before the loader gained a
+# bulk path for well-formed classes, so the two can be compared on models and
+# on diagnostics lists. It shares only the model types, the diagnostic types
+# and FORMAT_VERSION with the package.
+
+_REF_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _ref_check_class(name: str, features: Iterable[Feature], flows: Iterable[Flow],
+                     problems: list[Diagnostic]) -> tuple[dict[str, Feature], tuple[Flow, ...]]:
+    """The structural rules of one class, owned here for build, load and the
+    validator alike: feature ids are unique (E_DUP_ID) and every flow
+    endpoint names a feature (E_DANGLING_REF). Violations are appended to
+    ``problems`` in input order. Returns the id->feature map (the last
+    feature wins a repeated id) and the flows with set semantics over
+    Flow.key(), first occurrence kept."""
+    feature_map: dict[str, Feature] = {}
+    for feat in features:
+        if feat.id in feature_map:
+            problems.append(_ref_error(Code.E_DUP_ID, name, (feat.id,),
+                                       f"duplicate feature id '{feat.id}'"))
+        feature_map[feat.id] = feat
+    kept: dict[tuple[FlowKind, str, str], Flow] = {}
+    for flow in flows:
+        source, target = flow.source, flow.target
+        if source not in feature_map:
+            problems.append(_ref_dangling(name, source))
+        if target not in feature_map:
+            problems.append(_ref_dangling(name, target))
+        key = (flow.kind, source, target)  # Flow.key(), inlined on this hot path
+        if key not in kept:
+            kept[key] = flow
+    return feature_map, tuple(kept.values())
+
+
+def _ref_dangling(class_name: str, endpoint: str) -> Diagnostic:
+    return _ref_error(Code.E_DANGLING_REF, class_name, (endpoint,),
+                      f"flow endpoint '{endpoint}' does not name a feature")
+
+
+def _ref_check_class_names(classes: Iterable[OcdfClass], problems: list[Diagnostic]) -> None:
+    """Class names are unique within a model (E_DUP_ID)."""
+    seen: set[str] = set()
+    for cls in classes:
+        if cls.name in seen:
+            problems.append(_ref_error(Code.E_DUP_ID, cls.name, (),
+                                       f"duplicate class name '{cls.name}'"))
+        seen.add(cls.name)
+
+
+def _ref_error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:
+    return Diagnostic(code, message, (Subject(class_name, ids),))
+
+
+def reference_deserialize(data: bytes | str) -> OcdfModel:
+    """Load a model document, checking every structural rule.
+
+    Raises ModelError carrying E_PARSE (malformed or too deeply nested
+    document, an over-long integer, an unpaired surrogate), E_BAD_ENUM
+    (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
+    """
+    if isinstance(data, str):  # one strict decode for both: a raw lone surrogate fails it
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError([_ref_parse_problem(f"not valid UTF-8: {exc}")]) from exc
+    loader = _RefLoader()
+    try:
+        model = loader.model(_ref_json_document(data))
+    except RecursionError as exc:
+        raise ModelError([_ref_parse_problem("document nests too deeply")]) from exc
+    if loader.problems:
+        raise ModelError(loader.problems)
+    return model
+
+
+def _ref_json_document(data: str) -> object:
+    """`json.loads`, where a value Python cannot hold or write is an E_PARSE
+    like malformed JSON. Nesting too deep raises RecursionError."""
+    try:
+        doc = json.loads(data)
+        if _REF_SURROGATE_ESCAPE.search(data):  # a paired escape decodes to one encodable character
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
+    except json.JSONDecodeError as exc:
+        message = f"malformed JSON: {exc}"
+    except UnicodeEncodeError:
+        message = "malformed JSON: a string holds an unpaired surrogate"
+    except ValueError:  # the rest: an integer past int()'s digit limit
+        message = "malformed JSON: an integer has too many digits"
+    raise ModelError([_ref_parse_problem(message)])
+
+
+def _ref_parse_problem(message: str, class_name: str = "") -> Diagnostic:
+    subjects = (Subject(class_name),) if class_name else ()
+    return Diagnostic(Code.E_PARSE, message, subjects)
+
+
+class _RefLoader:
+    """Document-to-model lowering that collects problems instead of stopping
+    at the first one, so a load failure reports everything wrong at once."""
+
+    def __init__(self) -> None:
+        self.problems: list[Diagnostic] = []
+
+    def model(self, doc: object) -> OcdfModel:
+        if not isinstance(doc, dict):
+            self.problems.append(_ref_parse_problem("document root must be an object"))
+            return OcdfModel()
+        version = doc.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            self.problems.append(_ref_parse_problem(
+                f"unsupported format_version {version!r} (expected {FORMAT_VERSION})"))
+        raw_classes = doc.get("classes")
+        if not isinstance(raw_classes, list):
+            self.problems.append(_ref_parse_problem("'classes' must be a list"))
+            return OcdfModel()
+        classes = tuple(self.clazz(c, i) for i, c in enumerate(raw_classes))
+        _ref_check_class_names(classes, self.problems)
+        return OcdfModel(classes=classes)
+
+    def clazz(self, raw: object, index: int) -> OcdfClass:
+        if not isinstance(raw, dict):
+            self.problems.append(_ref_parse_problem(f"classes[{index}] must be an object"))
+            return OcdfClass(name=f"<classes[{index}]>")
+        name = raw.get("name")
+        if not isinstance(name, str) or not name:
+            self.problems.append(_ref_parse_problem(f"classes[{index}] is missing a name"))
+            name = f"<classes[{index}]>"
+
+        features = tuple(self.feature(f, name, i)
+                         for i, f in enumerate(self._list(raw, "features", name)))
+        _, flows = _ref_check_class(name, features, self.flows(raw, name), self.problems)
+        return OcdfClass(name=name, features=features, flows=flows)
+
+    def flows(self, raw: dict, class_name: str) -> Iterator[Flow]:
+        """Yield the well-formed flows one at a time, so that each flow's parse
+        problems are reported just before its dangling endpoints. A flow
+        already reported as malformed is left out."""
+        for i, f in enumerate(self._list(raw, "flows", class_name)):
+            flow = self.flow(f, class_name, i)
+            if flow is not None:
+                yield flow
+
+    def _list(self, raw: dict, key: str, class_name: str) -> list:
+        value = raw.get(key, [])
+        if not isinstance(value, list):
+            self.problems.append(_ref_parse_problem(f"'{key}' must be a list", class_name))
+            return []
+        return value
+
+    def feature(self, raw: object, class_name: str, index: int) -> Feature:
+        if not isinstance(raw, dict):
+            self.problems.append(_ref_parse_problem(f"features[{index}] must be an object",
+                                                    class_name))
+            return Feature(id=f"<features[{index}]>", kind=FeatureKind.MEMBER, name="")
+        get = raw.get
+        fid, name, decl = get("id"), get("name"), get("decl")
+        if not isinstance(fid, str):
+            fid = self._not_str("id", class_name, f"features[{index}]", "")
+        if not isinstance(name, str):
+            name = self._not_str("name", class_name, f"features[{index}]", "")
+        if not isinstance(decl, str):
+            decl = self._not_str("decl", class_name, f"features[{index}]", "")
+        where = fid or f"features[{index}]"  # how the diagnostics below name the feature
+        try:
+            kind = _REF_FEATURE_KINDS[get("kind")]
+        except (KeyError, TypeError):
+            kind = self._bad_token(raw, "kind", class_name, where, FeatureKind.MEMBER)
+        try:
+            visibility = _REF_VISIBILITIES[get("visibility")]
+        except (KeyError, TypeError):
+            visibility = self._bad_token(raw, "visibility", class_name, where, Visibility.PRIVATE)
+        flags = (get("is_static", False), get("is_const", False),
+                 get("is_constructor", False), get("inherited", False))
+        # one test for all four flags (bool has no subclasses)
+        if not (type(flags[0]) is type(flags[1]) is type(flags[2]) is type(flags[3]) is bool):
+            flags = tuple(self._flag(value, key, class_name, where)
+                          for value, key in zip(flags, _REF_FLAG_KEYS))
+        return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility, *flags)
+
+    def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
+        if not isinstance(raw, dict):
+            self.problems.append(_ref_parse_problem(f"flows[{index}] must be an object",
+                                                    class_name))
+            return None
+        get = raw.get
+        try:
+            kind = _REF_FLOW_KINDS[get("kind")]
+        except (KeyError, TypeError):
+            kind = self._bad_token(raw, "kind", class_name, f"flows[{index}]", FlowKind.DATA)
+        source, target, label = get("source"), get("target"), get("label")
+        if not isinstance(source, str):
+            source = self._not_str("source", class_name, f"flows[{index}]", None)
+        if not isinstance(target, str):
+            target = self._not_str("target", class_name, f"flows[{index}]", None)
+        if label is not None and not isinstance(label, str):
+            self.problems.append(_ref_parse_problem(
+                f"flows[{index}] label must be a string or null", class_name))
+            label = None
+        if source is None or target is None:
+            return None
+        return Flow(kind, source, target, label)
+
+    # These record a diagnostic; they run only once a field has failed its check.
+
+    def _not_str(self, key: str, class_name: str, where: str, missing: str | None) -> str | None:
+        self.problems.append(_ref_parse_problem(f"{where} is missing string field '{key}'",
+                                                class_name))
+        return missing
+
+    def _flag(self, value: object, key: str, class_name: str, where: str) -> bool:
+        if type(value) is bool:
+            return value
+        self.problems.append(_ref_parse_problem(f"{where}: '{key}' must be a boolean", class_name))
+        return False
+
+    def _bad_token(self, raw: dict, key: str, class_name: str, where: str,
+                   default: TokenEnum) -> TokenEnum:
+        self.problems.append(_ref_error(Code.E_BAD_ENUM, class_name, (where,),
+                                        f"{where}: unknown {key} token {raw.get(key)!r}"))
+        return default
+
+
+# Token -> member tables for the loader; a miss raises KeyError, or TypeError
+# for an unhashable token such as a JSON list.
+_REF_FEATURE_KINDS = FeatureKind._value2member_map_
+_REF_VISIBILITIES = Visibility._value2member_map_
+_REF_FLOW_KINDS = FlowKind._value2member_map_
+_REF_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")

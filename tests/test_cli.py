@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -374,6 +375,17 @@ def test_styling_respects_no_color(tmp_path, capsys, monkeypatch):
     assert "\x1b[" not in plain
 
 
+def test_styling_never_reaches_an_output_file(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "bad.json"
+    doc.write_text(BAD_MODEL)
+    target = tmp_path / "findings.txt"
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True, raising=False)
+    code, out, _ = run_cli(capsys, "validate", "--output", str(target), str(doc))
+    assert code == 1 and out == ""
+    assert "E_DF_ENDPOINT" in target.read_text()
+    assert "\x1b[" not in target.read_text()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate"])  # missing inputs
@@ -397,3 +409,78 @@ def test_runtime_imports_only_the_standard_library():
     top_level = {name.partition(".")[0] for name in result.stdout.split()}
     assert "ocdf" in top_level
     assert top_level - {"ocdf"} - sys.stdlib_module_names == set()
+
+
+# Modules of the package each subcommand must not import.
+UNUSED_MODULES = {
+    "extract": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.render", "ocdf.validator"},
+    "validate": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.minioo", "ocdf.render"},
+    "analyze": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.validator"},
+    "render": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.validator"},
+}
+
+
+def _imported_by(script: str) -> set[str]:
+    """The modules a fresh interpreter imports while it runs `script`."""
+    wrapped = f"import sys; before = set(sys.modules)\n{script}\nprint(*set(sys.modules) - before)"
+    result = subprocess.run([sys.executable, "-c", wrapped],
+                            capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("subcommand", UNUSED_MODULES)
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, capsys, subcommand):
+    source = CORPUS_DIR / "counter.moo"
+    document = tmp_path / "counter.json"
+    run_cli(capsys, "extract", "--output", str(document), str(source))
+    path = source if subcommand == "extract" else document
+    loaded = _imported_by("import ocdf.cli\n"
+                          f"code = ocdf.cli.main([{subcommand!r}, '--output', {os.devnull!r}, "
+                          f"{str(path)!r}])\n"
+                          "assert code in (0, 1), code")
+    assert {name.partition(".")[0] for name in loaded} - {"ocdf"} <= sys.stdlib_module_names
+    assert "ocdf.model" in loaded
+    assert not {n for n in loaded for unused in UNUSED_MODULES[subcommand]
+                if n == unused or n.startswith(unused + ".")}
+
+
+def test_import_ocdf_loads_no_submodule_and_every_name_resolves():
+    assert not {n for n in _imported_by("import ocdf") if n.startswith("ocdf.")}
+    loaded = _imported_by("import ocdf\n"
+                          "names = {n: getattr(ocdf, n) for n in ocdf.__all__}\n"
+                          "star = {}\n"
+                          "exec('from ocdf import *', star)\n"
+                          "assert set(ocdf.__all__) <= set(star), set(ocdf.__all__) - set(star)\n"
+                          "assert all(star[n] is v for n, v in names.items())\n"
+                          "assert set(ocdf.__all__) <= set(dir(ocdf))")
+    assert {"ocdf.minioo", "ocdf.dotcheck", "ocdf.render", "ocdf.validator"} <= loaded
+
+
+# The names through which the handlers call the other layers; a caller may
+# rebind them on `ocdf.cli` (a tracer does) before any subcommand has run.
+HANDLER_CALLEES = ("parse", "extract", "extract_lazy_inherited", "build_model", "serialize",
+                   "deserialize", "validate", "substructures", "detect_races",
+                   "render_model_dot")
+
+
+def test_rebound_callees_are_the_ones_the_handlers_call(tmp_path, capsys):
+    source = CORPUS_DIR / "counter.moo"
+    document = tmp_path / "counter.json"
+    run_cli(capsys, "extract", "--output", str(document), str(source))
+    runs = [["extract", str(source)], ["extract", "--lazy", str(source)],
+            *([sub, str(document)] for sub in ("validate", "analyze", "render"))]
+    script = ("import ocdf.cli\n"
+              "called = set()\n"
+              "def spy(name, real):\n"
+              "    def wrapper(*args, **kwargs):\n"
+              "        called.add(name)\n"
+              "        return real(*args, **kwargs)\n"
+              "    return wrapper\n"
+              f"for name in {HANDLER_CALLEES!r}:\n"
+              "    setattr(ocdf.cli, name, spy(name, getattr(ocdf.cli, name)))\n"
+              f"for argv in {runs!r}:\n"
+              f"    assert ocdf.cli.main([*argv, '--output', {os.devnull!r}]) in (0, 1)\n"
+              "print(*called)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True)
+    assert set(result.stdout.split()) == set(HANDLER_CALLEES)
