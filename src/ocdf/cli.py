@@ -5,7 +5,8 @@ arguments or standard input ("-"). Exit codes: 0 on success with no error
 diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
 parse/load failures, and also when the program itself fails: an unexpected
 exception ends the run with one `error:` line, not a traceback. Multiple
-inputs are processed one at a time in argument order.
+inputs are processed one at a time in argument order. The cyclic garbage
+collector is off for the run (see `main`) and back as it was afterwards.
 
 Each subcommand's handler takes (args, content, path), lets a bad input raise
 its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
 
-from .diagnostics import MiniOoError, ModelError, OcdfError
+from .diagnostics import MiniOoError, ModelError, OcdfError, findings_json
 
 # Subcommand -> {module: the names its handler calls from that module}.
 _CALLS = {
@@ -49,6 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.inputs.count("-") > 1:
         print("error: standard input ('-') may be given only once", file=sys.stderr)
         return 2
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # tokens, syntax trees and models hold no reference cycles
     try:
         _bind(args.subcommand)
         handler = globals()[f"_run_{args.subcommand}"]  # looked up per run
@@ -66,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of this program, not of the input
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return max(code for code, _, _ in results)
 
 
@@ -170,7 +177,7 @@ def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
 def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
     findings = validate(deserialize(content))
     if args.format == "json":
-        out = json.dumps([d.to_dict() for d in findings], indent=2) + "\n"
+        out = findings_json(findings) + "\n"
     else:
         out = "".join(_style(d.render_line(), _RED, args) + "\n" for d in findings)
     return (1 if findings else 0), out

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 
 class TokenEnum(str, Enum):
@@ -65,13 +67,33 @@ class Diagnostic:
                 parts.append(f"subjects={','.join(ids)}")
         return f"{' '.join(parts)}: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code.value,
-            "severity": "error",
-            "message": self.message,
-            "subjects": [{"class": s.class_name, "ids": list(s.ids)} for s in self.subjects],
-        }
+
+# The JSON form of a list of diagnostics, laid out as json.dumps(..., indent=2)
+# lays out each finding's {"code", "severity", "message", "subjects": [{"class",
+# "ids"}]}. It is written by hand because `indent` sends json.dumps to its
+# pure-Python encoder; each string goes through the C escaper that json.dumps
+# (ensure_ascii=True) uses.
+_FINDING_JSON = ('{\n    "code": %s,\n    "severity": "error",\n    "message": %s,\n'
+                 '    "subjects": %s\n  }')
+_SUBJECT_JSON = '{\n        "class": %s,\n        "ids": %s\n      }'
+
+
+def findings_json(findings: Iterable[Diagnostic]) -> str:
+    """The findings as an indented JSON list, without a final newline."""
+    esc = encode_basestring_ascii
+    return _json_list([
+        _FINDING_JSON % (esc(d.code.value), esc(d.message), _json_list([
+            _SUBJECT_JSON % (esc(s.class_name), _json_list([*map(esc, s.ids)], "        "))
+            for s in d.subjects], "    "))
+        for d in findings], "")
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as an indented JSON list whose brackets sit at `indent`."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,12 +48,15 @@ def extract_lazy_inherited(program: ast.Program, class_name: str) -> OcdfClass:
 
 
 def _extract(program: ast.Program, class_name: str, include_inherited: bool) -> OcdfClass:
-    cls = _find_class(program, class_name)
+    classes: dict[str, list[ast.ClassDecl]] = {}  # name -> its declarations, in source order
+    for decl in program.classes:
+        classes.setdefault(decl.name, []).append(decl)
+    cls = _find_class(classes, class_name)
     if cls is None:
         raise MiniOoError([SourceError(Code.E_NO_CLASS,
                                        f"no class named '{class_name}' in the source",
                                        1, 1)])
-    walker = _Walker(cls, _parent_chain(program, cls))
+    walker = _Walker(cls, _parent_chain(classes, cls))
     walker.run()
     if walker.errors:
         raise MiniOoError(walker.errors)
@@ -91,10 +94,10 @@ def _method_feature(decl: ast.MethodDecl, owner_name: str, inherited: bool) -> F
                    inherited=inherited)
 
 
-def _find_class(program: ast.Program, name: str) -> ast.ClassDecl | None:
+def _find_class(classes: dict[str, list[ast.ClassDecl]], name: str) -> ast.ClassDecl | None:
     """The class extraction reads under `name`. Class names are unique in a
     program, so a second declaration is E_DUP_ID at that declaration."""
-    found = [cls for cls in program.classes if cls.name == name]
+    found = classes.get(name, ())
     if len(found) > 1:
         span = found[1].span
         raise MiniOoError([SourceError(Code.E_DUP_ID, f"duplicate class name '{name}'",
@@ -102,7 +105,8 @@ def _find_class(program: ast.Program, name: str) -> ast.ClassDecl | None:
     return found[0] if found else None
 
 
-def _parent_chain(program: ast.Program, cls: ast.ClassDecl) -> list[ast.ClassDecl]:
+def _parent_chain(classes: dict[str, list[ast.ClassDecl]],
+                  cls: ast.ClassDecl) -> list[ast.ClassDecl]:
     """Ancestors from nearest to farthest. A parent that is not declared in
     the program simply ends the chain; a cycle is an error."""
     chain: list[ast.ClassDecl] = []
@@ -114,7 +118,7 @@ def _parent_chain(program: ast.Program, cls: ast.ClassDecl) -> list[ast.ClassDec
                 Code.E_INHERIT_CYCLE,
                 f"inheritance cycle through '{current.parent}'",
                 current.span.line, current.span.column)])
-        parent = _find_class(program, current.parent)
+        parent = _find_class(classes, current.parent)
         if parent is None:
             break
         chain.append(parent)

@@ -17,7 +17,8 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, product, repeat
+from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
@@ -190,46 +191,50 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
     return Diagnostic(code, message, (Subject(class_name, ids),))
 
 
-# Field order below is the canonical document field order; do not reorder.
+# The canonical document, written without building a dict per record. Field
+# order below is the canonical field order; do not reorder. Each string goes
+# through the escaper json.dumps(ensure_ascii=False) uses, so the bytes are
+# those of json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
 
-def _feature_doc(f: Feature) -> dict:
-    return {
-        "id": f.id,
-        "kind": f.kind.value,
-        "name": f.name,
-        "decl": f.decl,
-        "visibility": f.visibility.value,
-        "is_static": f.is_static,
-        "is_const": f.is_const,
-        "is_constructor": f.is_constructor,
-        "inherited": f.inherited,
-    }
+_FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
+_FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
+_CLASS_JSON = '{"name":%s,"features":[%s],"flows":[%s]}'
+_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
+_FLAGS = attrgetter(*_FLAG_KEYS)
+_FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
+                               for key, flag in zip(_FLAG_KEYS, flags))
+               for flags in product((False, True), repeat=len(_FLAG_KEYS))}
 
 
-def _flow_doc(f: Flow) -> dict:
-    return {
-        "kind": f.kind.value,
-        "source": f.source,
-        "target": f.target,
-        "label": f.label,
-    }
+class _Encoded(dict):
+    """String -> its JSON form, each string escaped once; None -> null."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = encode_basestring(text)  # TypeError for a non-str
+        return encoded
 
 
 def serialize(model: OcdfModel) -> bytes:
     """Canonical UTF-8 JSON bytes. Identical models produce identical bytes;
-    feature/flow order is preserved as given."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "classes": [
-            {
-                "name": cls.name,
-                "features": [_feature_doc(f) for f in cls.features],
-                "flows": [_flow_doc(f) for f in cls.flows],
-            }
-            for cls in model.classes
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    feature/flow order is preserved as given. A record field of a type the
+    document cannot hold in its place (a flag that is not a bool, a string
+    field that is neither a str nor None) raises TypeError."""
+    text = _Encoded({None: "null"})
+    classes = []
+    for cls in model.classes:
+        features = cls.features
+        flags = [*map(_FLAGS, features)]
+        if not {*map(type, chain.from_iterable(flags))} <= _BOOL:
+            raise TypeError(f"class {cls.name!r}: a feature flag is not a bool")
+        # an enum's _value_ is an instance attribute; .value is a slower property
+        feature_docs = [_FEATURE_JSON % (text[f.id], f.kind._value_, text[f.name], text[f.decl],
+                                         f.visibility._value_, _FLAGS_JSON[fl])
+                        for f, fl in zip(features, flags)]
+        flow_docs = [_FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
+                     for f in cls.flows]
+        classes.append(_CLASS_JSON % (text[cls.name], ",".join(feature_docs), ",".join(flow_docs)))
+    return ('{"format_version":%d,"classes":[%s]}'
+            % (FORMAT_VERSION, ",".join(classes))).encode("utf-8")
 
 
 def deserialize(data: bytes | str) -> OcdfModel:
@@ -411,15 +416,15 @@ class _Loader:
 _FEATURE_KINDS = FeatureKind._value2member_map_
 _VISIBILITIES = Visibility._value2member_map_
 _FLOW_KINDS = FlowKind._value2member_map_
-_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 
-# The bulk path: a class whose records all hold every canonical field, each
-# of the right type, loads one field at a time across all records, in
-# C-level loops. Records are built without the generated __init__ (which
-# sets each field through object.__setattr__): object.__new__, then each
-# field's slot descriptor.
+# The bulk path: a class whose records all hold every required field, each
+# field of the right type, loads one field at a time across all records, in
+# C-level loops; an absent optional field reads as its default. Records are
+# built without the generated __init__ (which sets each field through
+# object.__setattr__): object.__new__, then each field's slot descriptor.
 _FEATURE_FIELDS = ("id", "kind", "name", "decl", "visibility", *_FLAG_KEYS)
 _FLOW_FIELDS = ("kind", "source", "target", "label")
+_OPTIONAL = {**dict.fromkeys(_FLAG_KEYS, False), "label": None}  # field -> its default
 _FEATURE_SLOTS = tuple(getattr(Feature, f).__set__ for f in _FEATURE_FIELDS)
 _FLOW_SLOTS = tuple(getattr(Flow, f).__set__ for f in _FLOW_FIELDS)
 _STR = {str}
@@ -452,7 +457,11 @@ def _bulk_class(raw: dict) -> tuple[tuple[Feature, ...], tuple[Flow, ...]] | Non
 
 
 def _columns(fields: tuple[str, ...], records: list) -> list[tuple]:
-    return [tuple(map(itemgetter(field), records)) for field in fields]
+    """One tuple per field. A missing optional field reads as its default,
+    as on the per-record path; a missing required one raises KeyError."""
+    return [tuple(map(dict.get, records, repeat(field), repeat(_OPTIONAL[field])))
+            if field in _OPTIONAL else tuple(map(itemgetter(field), records))
+            for field in fields]
 
 
 def _tokens(table: dict, tokens: tuple) -> tuple:

@@ -110,15 +110,19 @@ def _sanitize(identifier: str) -> str:
 
 
 def _node_ids(features: list[Feature]) -> dict[str, str]:
-    """Sanitized, collision-free DOT ids keyed by feature id."""
+    """Sanitized, collision-free DOT ids keyed by feature id. A colliding id
+    takes its base's smallest free suffix from 2 up. `used` only grows, so
+    the search for a base resumes where its last one stopped."""
     ids: dict[str, str] = {}
     used: set[str] = set()
+    next_suffix: dict[str, int] = {}
     for feat in features:
-        candidate = _sanitize(feat.id)
-        suffix = 2
+        base = candidate = _sanitize(feat.id)
+        suffix = next_suffix.get(base, 2)
         while candidate in used:
-            candidate = f"{_sanitize(feat.id)}_{suffix}"
+            candidate = f"{base}_{suffix}"
             suffix += 1
+        next_suffix[base] = suffix
         ids[feat.id] = candidate
         used.add(candidate)
     return ids

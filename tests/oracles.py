@@ -940,3 +940,55 @@ _REF_FEATURE_KINDS = FeatureKind._value2member_map_
 _REF_VISIBILITIES = Visibility._value2member_map_
 _REF_FLOW_KINDS = FlowKind._value2member_map_
 _REF_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
+
+
+# --- reference writers: a dict per record, then json.dumps -------------------
+#
+# Kept from before the package wrote its JSON by hand: the canonical model
+# document, and the indented list `validate --format json` prints.
+
+def reference_serialize(model: OcdfModel) -> bytes:
+    """Canonical UTF-8 JSON bytes, built as dicts in the canonical field
+    order and written by json.dumps."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "classes": [
+            {
+                "name": cls.name,
+                "features": [
+                    {
+                        "id": f.id,
+                        "kind": f.kind.value,
+                        "name": f.name,
+                        "decl": f.decl,
+                        "visibility": f.visibility.value,
+                        "is_static": f.is_static,
+                        "is_const": f.is_const,
+                        "is_constructor": f.is_constructor,
+                        "inherited": f.inherited,
+                    }
+                    for f in cls.features
+                ],
+                "flows": [
+                    {"kind": f.kind.value, "source": f.source, "target": f.target,
+                     "label": f.label}
+                    for f in cls.flows
+                ],
+            }
+            for cls in model.classes
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def reference_findings_json(findings: Iterable[Diagnostic]) -> str:
+    """The findings as json.dumps(..., indent=2) writes their dicts."""
+    return json.dumps([
+        {
+            "code": d.code.value,
+            "severity": "error",
+            "message": d.message,
+            "subjects": [{"class": s.class_name, "ids": list(s.ids)} for s in d.subjects],
+        }
+        for d in findings
+    ], indent=2)

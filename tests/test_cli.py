@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -484,3 +485,39 @@ def test_rebound_callees_are_the_ones_the_handlers_call(tmp_path, capsys):
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True)
     assert set(result.stdout.split()) == set(HANDLER_CALLEES)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                         enabled):
+    """The collector is off while a subcommand runs, and afterwards as it
+    was before, whatever the exit code and also after an internal error."""
+    source = tmp_path / "c.moo"
+    source.write_text(GOOD_MOO)
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MODEL)
+    seen = []
+    real_validate = sys.modules["ocdf.cli"]._run_validate
+
+    def spy(args, content, path):
+        seen.append(gc.isenabled())
+        return real_validate(args, content, path)
+
+    def broken(args, content, path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ocdf.cli._run_validate", spy)
+    monkeypatch.setattr("ocdf.cli._run_render", broken)
+    runs = [(0, ["extract", str(source)]), (1, ["validate", str(bad)]),
+            (2, ["validate", str(tmp_path / "missing.json")]), (2, ["render", str(bad)])]
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for expected, argv in runs:
+            assert run_cli(capsys, *argv)[0] == expected
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["validate", "--format", "yaml", str(bad)])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
