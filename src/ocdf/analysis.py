@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 
 from .diagnostics import TokenEnum
 from .model import FeatureKind, Flow, FlowKind, OcdfClass
@@ -54,15 +53,6 @@ class SubstructureReport:
 
     components: tuple[tuple[str, ...], ...]
     cut_suggestions: tuple[tuple[tuple[int, int], int], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "components": [list(c) for c in self.components],
-            "cut_suggestions": [
-                {"components": [a, b], "shared_prefix_count": n}
-                for (a, b), n in self.cut_suggestions
-            ],
-        }
 
 
 def substructures(cls: OcdfClass) -> SubstructureReport:
@@ -132,14 +122,6 @@ class RaceHazard:
     readers: tuple[str, ...]
     entry_points: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "writers": list(self.writers),
-            "readers": list(self.readers),
-            "entry_points": list(self.entry_points),
-        }
-
 
 def detect_races(cls: OcdfClass) -> list[RaceHazard]:
     """Report each non-const member whose accessors conflict.
@@ -166,6 +148,7 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
         if target is not None and target.is_method_kind:
             readers.setdefault(flow.source, set()).add(target.id)
     roots, entries = _entry_points(cls)
+    named: dict[int, tuple[str, ...]] = {}  # hazards share few bitsets; name each once
 
     hazards: list[RaceHazard] = []
     for member in cls.features:
@@ -185,12 +168,18 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
             mask |= entries[m]
         if len(reached) < 2 or written.isdisjoint(reached) or mask.bit_count() < 2:
             continue
+        entry_points = named.get(mask)
+        if entry_points is None:  # roots of the set bits, one step per bit, lowest first
+            points, bits = [], mask
+            while bits:
+                low = bits & -bits
+                points.append(roots[low.bit_length() - 1])
+                bits ^= low
+            entry_points = named[mask] = tuple(points)
         hazards.append(RaceHazard(member=member.id,
                                   writers=tuple(sorted(written)),
                                   readers=tuple(sorted(read)),
-                                  # roots whose bits are set, in bit (sorted) order
-                                  entry_points=tuple(compress(
-                                      roots, map("1".__eq__, bin(mask)[:1:-1])))))
+                                  entry_points=entry_points))
     hazards.sort(key=lambda h: h.member)
     return hazards
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
 
-from .diagnostics import MiniOoError, ModelError, OcdfError, findings_json
+from .diagnostics import MiniOoError, ModelError, OcdfError, findings_json, indented_json
 
 # Subcommand -> {module: the names its handler calls from that module}.
 _CALLS = {
@@ -186,15 +185,18 @@ def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[
 def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
     model = deserialize(content)
     if args.format == "json":
-        report = [
-            {
+        report = []
+        for cls in model.classes:
+            parts = substructures(cls)
+            report.append({
                 "name": cls.name,
-                "substructures": substructures(cls).to_dict(),
-                "races": [h.to_dict() for h in detect_races(cls)],
-            }
-            for cls in model.classes
-        ]
-        return 0, json.dumps(report, indent=2) + "\n"
+                "substructures": {
+                    "components": parts.components,
+                    "cut_suggestions": [{"components": pair, "shared_prefix_count": n}
+                                        for pair, n in parts.cut_suggestions]},
+                "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
+                           "entry_points": h.entry_points} for h in detect_races(cls)]})
+        return 0, indented_json(report) + "\n"
 
     lines: list[str] = []
     for cls in model.classes:

@@ -1,4 +1,4 @@
-"""Diagnostic codes, records, and the exceptions that carry them.
+"""Diagnostic codes, records, the exceptions that carry them, and the JSON report writer.
 
 Every code maps to exactly one rule, worded once in the validator's rule
 table.
@@ -68,32 +68,35 @@ class Diagnostic:
         return f"{' '.join(parts)}: {self.message}"
 
 
-# The JSON form of a list of diagnostics, laid out as json.dumps(..., indent=2)
-# lays out each finding's {"code", "severity", "message", "subjects": [{"class",
-# "ids"}]}. It is written by hand because `indent` sends json.dumps to its
-# pure-Python encoder; each string goes through the C escaper that json.dumps
-# (ensure_ascii=True) uses.
-_FINDING_JSON = ('{\n    "code": %s,\n    "severity": "error",\n    "message": %s,\n'
-                 '    "subjects": %s\n  }')
-_SUBJECT_JSON = '{\n        "class": %s,\n        "ids": %s\n      }'
-
-
 def findings_json(findings: Iterable[Diagnostic]) -> str:
     """The findings as an indented JSON list, without a final newline."""
-    esc = encode_basestring_ascii
-    return _json_list([
-        _FINDING_JSON % (esc(d.code.value), esc(d.message), _json_list([
-            _SUBJECT_JSON % (esc(s.class_name), _json_list([*map(esc, s.ids)], "        "))
-            for s in d.subjects], "    "))
-        for d in findings], "")
+    return indented_json([
+        {"code": d.code.value, "severity": "error", "message": d.message,
+         "subjects": [{"class": s.class_name, "ids": s.ids} for s in d.subjects]}
+        for d in findings])
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Encoded items as an indented JSON list whose brackets sit at `indent`."""
-    if not items:
+def indented_json(value, margin: str = "") -> str:
+    """json.dumps(value, indent=2) for nested lists (or tuples) and dicts of
+    str and int. `indent` sends json.dumps to its pure-Python encoder, so the
+    layout is written here; each string goes through the C escaper that
+    json.dumps (ensure_ascii=True) uses. `margin` is the indentation of the
+    line that holds the value's closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + indented_json(v, inner)
+                 for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "}"
+    if not value:
         return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    items = [indented_json(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ edges in model order.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .analysis import AbstractionLevel, project
@@ -47,19 +48,21 @@ def render_model_dot(model: OcdfModel, opts: RenderOptions = RenderOptions()) ->
     """All classes of a model in one digraph, one cluster per class."""
     lines = ["digraph ocdf {"]
     lines.append(f"  rankdir={opts.rankdir.value};")
+    node_id, cluster_id = _dot_ids(), _dot_ids()  # unique across the digraph
     for cls in model.classes:
-        lines.extend(_render_class(cls, opts))
+        lines.extend(_render_class(cls, opts, node_id, cluster_id))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _render_class(cls: OcdfClass, opts: RenderOptions) -> list[str]:
+def _render_class(cls: OcdfClass, opts: RenderOptions, node_id: Callable[[str], str],
+                  cluster_id: Callable[[str], str]) -> list[str]:
     cls = project(cls, opts.level)
     features = [f for f in cls.features if opts.show_inherited or not f.inherited]
-    ids = _node_ids(features)
+    ids = {feat.id: node_id(feat.id) for feat in features}
     # No edge for a flow to a hidden feature, or to none (the validator's E_DANGLING_REF).
     flows = [f for f in cls.flows if f.source in ids and f.target in ids]
-    lines = [f"  subgraph cluster_{_sanitize(cls.name)} {{",
+    lines = [f"  subgraph cluster_{cluster_id(cls.name)} {{",
              f'    label="{_escape(cls.name)}";']
     for feat in features:
         attrs = [f'label="{_escape(_label(feat))}"', "shape=box"]
@@ -102,30 +105,29 @@ def _style(feat: Feature) -> str:
     return ",".join(parts)
 
 
-def _sanitize(identifier: str) -> str:
-    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", identifier)
-    if not cleaned or cleaned[0].isdigit():
-        cleaned = f"f_{cleaned}"
-    return cleaned
-
-
-def _node_ids(features: list[Feature]) -> dict[str, str]:
-    """Sanitized, collision-free DOT ids keyed by feature id. A colliding id
-    takes its base's smallest free suffix from 2 up. `used` only grows, so
-    the search for a base resumes where its last one stopped."""
-    ids: dict[str, str] = {}
+def _dot_ids() -> Callable[[str], str]:
+    """A function that gives each identifier a DOT id that it has not given
+    before: the identifier with each character outside [A-Za-z0-9_] made
+    `_` and an `f_` prefix before a leading digit, or if that is taken, its
+    smallest free suffix from 2 up. `used` only grows, so the search for a
+    base resumes where its last one stopped."""
     used: set[str] = set()
     next_suffix: dict[str, int] = {}
-    for feat in features:
-        base = candidate = _sanitize(feat.id)
+
+    def dot_id(identifier: str) -> str:
+        base = re.sub(r"[^A-Za-z0-9_]", "_", identifier)
+        if not base or base[0].isdigit():
+            base = f"f_{base}"
+        candidate = base
         suffix = next_suffix.get(base, 2)
         while candidate in used:
             candidate = f"{base}_{suffix}"
             suffix += 1
         next_suffix[base] = suffix
-        ids[feat.id] = candidate
         used.add(candidate)
-    return ids
+        return candidate
+
+    return dot_id
 
 
 def _escape(text: str) -> str:

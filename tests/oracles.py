@@ -945,7 +945,8 @@ _REF_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 # --- reference writers: a dict per record, then json.dumps -------------------
 #
 # Kept from before the package wrote its JSON by hand: the canonical model
-# document, and the indented list `validate --format json` prints.
+# document, and the indented reports `validate` and `analyze --format json`
+# print.
 
 def reference_serialize(model: OcdfModel) -> bytes:
     """Canonical UTF-8 JSON bytes, built as dicts in the canonical field
@@ -992,3 +993,32 @@ def reference_findings_json(findings: Iterable[Diagnostic]) -> str:
         }
         for d in findings
     ], indent=2)
+
+
+def reference_analyze_json(model: OcdfModel) -> str:
+    """The `analyze --format json` report as json.dumps(..., indent=2) writes
+    the dicts the analyses' records once built with `to_dict`, from the
+    reference analyses above."""
+    report = []
+    for cls in model.classes:
+        parts = reference_substructures(cls)
+        report.append({
+            "name": cls.name,
+            "substructures": {
+                "components": [list(c) for c in parts.components],
+                "cut_suggestions": [
+                    {"components": [a, b], "shared_prefix_count": n}
+                    for (a, b), n in parts.cut_suggestions
+                ],
+            },
+            "races": [
+                {
+                    "member": h.member,
+                    "writers": list(h.writers),
+                    "readers": list(h.readers),
+                    "entry_points": list(h.entry_points),
+                }
+                for h in reference_races(cls)
+            ],
+        })
+    return json.dumps(report, indent=2)

@@ -2,15 +2,17 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from ocdf.cli import main
-from ocdf.model import deserialize
+from ocdf.model import deserialize, serialize
 
 from corpus_util import CORPUS_DIR
+from generators import random_valid_model
 
 
 GOOD_MOO = """
@@ -521,3 +523,29 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys, monke
     finally:
         gc.enable()
     assert seen == [False]
+
+
+def test_json_reports_leave_no_more_garbage_than_text(tmp_path, capsys):
+    """With the collector off, as during a run, a `--format json` report
+    leaves no more objects in reference cycles than the text report."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MODEL)
+    inputs = [str(bad)]
+    for seed in range(6):
+        path = tmp_path / f"model{seed}.json"
+        path.write_bytes(serialize(random_valid_model(random.Random(seed))))
+        inputs.append(str(path))
+
+    def garbage(*argv):
+        gc.collect()
+        run_cli(capsys, *argv)
+        return gc.collect()
+
+    try:
+        gc.disable()
+        for subcommand in ("validate", "analyze"):
+            garbage(subcommand, *inputs)  # the first run imports its modules
+            assert (garbage(subcommand, "--format", "json", *inputs)
+                    == garbage(subcommand, *inputs))
+    finally:
+        gc.enable()

@@ -1,7 +1,8 @@
 """The package's hand-written fast paths against the references in
-`oracles.py`: the canonical document writer (`serialize`), the findings
-list `validate --format json` prints (`findings_json`), and the loader's
-bulk path on documents that omit optional fields."""
+`oracles.py`: the canonical document writer (`serialize`), the indented
+JSON writer (`indented_json`) and the reports `validate` and `analyze
+--format json` print with it, and the loader's bulk path on documents that
+omit optional fields."""
 
 import dataclasses
 import json
@@ -10,12 +11,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocdf.diagnostics import Code, Diagnostic, Subject, findings_json
+from ocdf.cli import main
+from ocdf.diagnostics import Code, Diagnostic, Subject, findings_json, indented_json
 from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
-                        _bulk_class, deserialize, serialize)
+                        _bulk_class, build_class, build_model, deserialize, serialize)
 
 from generators import random_valid_model
-from oracles import reference_deserialize, reference_findings_json, reference_serialize
+from oracles import (reference_analyze_json, reference_deserialize, reference_findings_json,
+                     reference_serialize)
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -125,6 +128,41 @@ def test_findings_json_with_empty_subjects_and_ids():
                 Diagnostic(Code.E_DUP_ID, "x", (Subject("C"), Subject("", ("", "a\\b"))))]
     assert findings_json([]) == reference_findings_json([]) == "[]"
     assert findings_json(findings) == reference_findings_json(findings)
+
+
+json_values = st.recursive(
+    hostile_text | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(hostile_text, inner, max_size=3),
+    max_leaves=12)
+
+
+@PROPERTY
+@given(json_values)
+def test_indented_json_is_json_dumps_indented(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+def _escaped_names(model: OcdfModel) -> OcdfModel:
+    """The model with text a JSON writer must escape appended to every class
+    name, feature id and feature name."""
+    tail = 'é变\U0001f600"\\\n\x01'
+    return build_model([
+        build_class(cls.name + tail,
+                    [dataclasses.replace(f, id=f.id + tail, name=f.name + tail)
+                     for f in cls.features],
+                    [dataclasses.replace(f, source=f.source + tail, target=f.target + tail)
+                     for f in cls.flows])
+        for cls in model.classes])
+
+
+def test_analyze_json_is_the_reference_report(tmp_path, capsys):
+    document = tmp_path / "model.json"
+    for seed in range(40):
+        plain = random_valid_model(random.Random(seed))
+        for model in (plain, _escaped_names(plain)):
+            document.write_bytes(serialize(model))
+            assert main(["analyze", "--format", "json", str(document)]) == 0
+            assert capsys.readouterr().out == reference_analyze_json(model) + "\n"
 
 
 def _without(doc: dict, flow_keys=(), feature_keys=()) -> dict:

@@ -1,4 +1,5 @@
 import random
+import re
 
 from ocdf.analysis import AbstractionLevel, project
 from ocdf.dotcheck import check_dot
@@ -11,10 +12,11 @@ from ocdf.model import (
     OcdfClass,
     Visibility,
     build_class,
+    build_model,
 )
-from ocdf.render import RankDir, RenderOptions, render_dot
+from ocdf.render import RankDir, RenderOptions, render_dot, render_model_dot
 
-from generators import random_valid_class
+from generators import random_valid_class, random_valid_model
 
 
 SAMPLE = build_class(
@@ -135,6 +137,29 @@ def test_node_ids_are_sanitized_without_colliding():
     assert check_dot(dot) == []
     assert "a_b [" in dot and "a_b_2 [" in dot
     assert "f_9lives [" in dot
+
+
+def _declared_nodes(dot: str) -> list[str]:
+    return re.findall(r"^    (\w+) \[", dot, re.MULTILINE)
+
+
+def test_node_and_cluster_ids_are_unique_across_the_digraph():
+    """Graphviz merges a node or cluster that is declared twice, so classes
+    that share feature ids, or whose names sanitize alike, take suffixes."""
+    def sample(name):
+        return build_class(name, SAMPLE.features, SAMPLE.flows)
+
+    dot = render_model_dot(build_model([sample("A-B"), sample("A_B")]))
+    assert check_dot(dot) == []
+    assert _declared_nodes(dot) == ["x", "run", "x_2", "run_2"]
+    assert "subgraph cluster_A_B {" in dot and "subgraph cluster_A_B_2 {" in dot
+    assert "    x -> run;" in dot and "    x_2 -> run_2;" in dot
+    # generated classes all number their features f0, f1, ...
+    rng = random.Random(609)
+    for _ in range(25):
+        model = random_valid_model(rng)
+        declared = _declared_nodes(render_model_dot(model))
+        assert len(set(declared)) == len(declared) == sum(len(c.features) for c in model.classes)
 
 
 def test_label_escaping():
