@@ -13,11 +13,20 @@ Three views, all pure:
 
 from __future__ import annotations
 
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 from .diagnostics import TokenEnum
-from .model import FeatureKind, Flow, FlowKind, OcdfClass
+from .model import METHOD_KINDS, FeatureKind, Flow, FlowKind, OcdfClass
+
+# The enum members the per-feature and per-flow loops test, as globals: on
+# CPython 3.11, reading `FlowKind.DATA` off its class costs about ten times
+# as much as reading a global.
+_MEMBER, _INTERFACE_METHOD = FeatureKind.MEMBER, FeatureKind.INTERFACE_METHOD
+_DATA, _CONTROL = FlowKind.DATA, FlowKind.CONTROL
 
 
 class AbstractionLevel(TokenEnum):
@@ -33,10 +42,10 @@ def project(cls: OcdfClass, level: AbstractionLevel) -> OcdfClass:
     """Narrow the flow set to the given level; features are never removed."""
     if level is AbstractionLevel.L3:
         return cls
-    members = {f.id for f in cls.features if f.kind is FeatureKind.MEMBER}
+    members = {f.id for f in cls.features if f.kind is _MEMBER}
 
     def keep(flow: Flow) -> bool:
-        if flow.kind is FlowKind.DATA:
+        if flow.kind is _DATA:
             return flow.source in members or flow.target in members
         return level is AbstractionLevel.L2
 
@@ -58,39 +67,44 @@ class SubstructureReport:
 def substructures(cls: OcdfClass) -> SubstructureReport:
     """Connected components of the undirected feature/flow graph.
 
+    Each component is one list of its ids, and `owner` maps every id to its
+    component's list. A flow joining two components moves the smaller list
+    into the larger, so no id moves more than log2(features) times and the
+    cost is O((features + flows) log features) (weighted union; Tarjan,
+    "Efficiency of a Good But Not Linear Set Union Algorithm", JACM 1975).
+
     Cut suggestions count, for each pair of components, the feature pairs
     across them whose names share a leading token: one token histogram per
     component, summing n_i * n_j over the components that share a token.
     """
-    parent = {f.id: f.id for f in cls.features}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    names = {f.id: f.name for f in cls.features}  # the last feature wins a repeated id
+    owner = {fid: [fid] for fid in names}
+    get = owner.get
     for flow in cls.flows:
+        a, b = get(flow.source), get(flow.target)
         # a flow naming no feature is the validator's to report; skip it here
-        if flow.source not in parent or flow.target not in parent:
+        if a is b or a is None or b is None:
             continue
-        a, b = find(flow.source), find(flow.target)
-        if a != b:
-            parent[b] = a
+        if len(a) < len(b):
+            a, b = b, a
+        a += b
+        for fid in b:
+            owner[fid] = a
 
-    groups: dict[str, list[str]] = {}
-    for f in cls.features:
-        groups.setdefault(find(f.id), []).append(f.id)
-    components = sorted((tuple(sorted(ids)) for ids in groups.values()),
-                        key=lambda c: c[0])
+    groups = {id(ids): ids for ids in owner.values()}.values()  # each list once
+    if len(names) < len(cls.features):  # a repeated id is listed once per feature
+        repeats = Counter(f.id for f in cls.features)
+        groups = [[fid for fid in ids for _ in range(repeats[fid])] for ids in groups]
+    components = sorted((tuple(sorted(ids)) for ids in groups), key=itemgetter(0))
 
-    names = {f.id: f.name for f in cls.features}
+    tokens = {fid: _leading(name)[0].lower() if name.isascii() else _name_token(name)
+              for fid, name in names.items()}
+    # one histogram of (component index, token) over all components at once
+    indexes = chain.from_iterable(map(repeat, count(), map(len, components)))
+    histogram = Counter(zip(indexes, map(tokens.__getitem__, chain.from_iterable(components))))
     holders: dict[str, list[tuple[int, int]]] = {}
-    for i, component in enumerate(components):
-        for token, n in Counter(_name_token(names[fid]) for fid in component).items():
-            holders.setdefault(token, []).append((i, n))
+    for (i, token), n in histogram.items():
+        holders.setdefault(token, []).append((i, n))
     counts: dict[tuple[int, int], int] = {}
     for held in holders.values():
         for k, (i, n_i) in enumerate(held):
@@ -100,6 +114,11 @@ def substructures(cls: OcdfClass) -> SubstructureReport:
 
     return SubstructureReport(components=tuple(components),
                               cut_suggestions=tuple(suggestions))
+
+
+# The leading name token of an ASCII name, before lowering: _name_token's
+# loop as one match, which is empty for a name that starts with "_".
+_leading = re.compile(r"(?:[^_][^_A-Z]*)?").match
 
 
 def _name_token(name: str) -> str:
@@ -131,32 +150,43 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
     conflicting methods are reachable over control flows from distinct
     interface methods (an interface method reaches itself by definition).
 
-    Accessors are indexed in one pass over the data flows and reachability
-    comes from one SCC condensation, so the cost is near-linear in features
-    plus flows.
+    One pass over the flows indexes the accessors, testing each data flow's
+    endpoints against the class's sets of method and writer ids, and
+    collects the control graph; reachability comes from one SCC condensation
+    of that graph, so the cost is near-linear in features plus flows.
     """
-    features = cls.feature_map()
-    writers: dict[str, set[str]] = {}
-    readers: dict[str, set[str]] = {}
+    methods: set[str] = set()
+    writing: set[str] = set()  # methods that are not constructors
+    for fid, feat in cls.feature_map().items():  # the last feature wins a repeated id
+        if feat.kind in METHOD_KINDS:
+            methods.add(fid)
+            if not feat.is_constructor:
+                writing.add(fid)
+    # the ids the member loop below asks for: every non-const member feature's,
+    # also where a later feature repeats the id
+    members = {f.id for f in cls.features if f.kind is _MEMBER and not f.is_const}
+    writers: defaultdict[str, set[str]] = defaultdict(set)
+    readers: defaultdict[str, set[str]] = defaultdict(set)
+    calls: defaultdict[str, list[str]] = defaultdict(list)
     for flow in cls.flows:
-        if flow.kind is not FlowKind.DATA:
-            continue
-        source = features.get(flow.source)
-        if source is not None and source.is_method_kind and not source.is_constructor:
-            writers.setdefault(flow.target, set()).add(source.id)
-        target = features.get(flow.target)
-        if target is not None and target.is_method_kind:
-            readers.setdefault(flow.source, set()).add(target.id)
-    roots, entries = _entry_points(cls)
+        source, target = flow.source, flow.target
+        if flow.kind is _DATA:
+            if target in members and source in writing:
+                writers[target].add(source)
+            if source in members and target in methods:
+                readers[source].add(target)
+        elif flow.kind is _CONTROL:
+            calls[source].append(target)
+    roots, entries = _entry_points(cls, calls)
     named: dict[int, tuple[str, ...]] = {}  # hazards share few bitsets; name each once
 
     hazards: list[RaceHazard] = []
     for member in cls.features:
-        if member.kind is not FeatureKind.MEMBER or member.is_const:
+        written = writers.get(member.id)
+        if written is None or member.kind is not _MEMBER or member.is_const:
             continue
-        written = writers.get(member.id, set())
         read = readers.get(member.id, set())
-        if not (len(written) >= 2 or (written and read - written)):
+        if len(written) < 2 and read <= written:
             continue
         # Some pair of reached conflicting methods, one a writer, has distinct
         # entry points iff the reached ones include a writer, number two or
@@ -176,29 +206,25 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
                 points.append(roots[low.bit_length() - 1])
                 bits ^= low
             entry_points = named[mask] = tuple(points)
-        hazards.append(RaceHazard(member=member.id,
-                                  writers=tuple(sorted(written)),
-                                  readers=tuple(sorted(read)),
-                                  entry_points=entry_points))
+        hazards.append(RaceHazard(member.id, tuple(sorted(written)), tuple(sorted(read)),
+                                  entry_points))
     hazards.sort(key=lambda h: h.member)
     return hazards
 
 
-def _entry_points(cls: OcdfClass) -> tuple[list[str], dict[str, int]]:
+def _entry_points(cls: OcdfClass,
+                  succ: dict[str, list[str]]) -> tuple[list[str], dict[str, int]]:
     """The sorted interface method ids, and for each node reachable from one
-    over control flows, the non-zero bitset of those that reach it (bit i is
-    roots[i]; an interface method reaches itself).
+    over control flows (`succ`, each source's callees), the non-zero bitset
+    of those that reach it (bit i is roots[i]; an interface method reaches
+    itself).
 
     One iterative Tarjan pass (Tarjan 1972) from the roots condenses the
     control graph into strongly connected components, emitted sinks first;
     the bits are then ORed forward through the components in topological
     order, so every node of a component gets the same set.
     """
-    succ: dict[str, list[str]] = {}
-    for flow in cls.flows:
-        if flow.kind is FlowKind.CONTROL:
-            succ.setdefault(flow.source, []).append(flow.target)
-    roots = sorted({f.id for f in cls.features if f.kind is FeatureKind.INTERFACE_METHOD})
+    roots = sorted({f.id for f in cls.features if f.kind is _INTERFACE_METHOD})
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}

@@ -6,7 +6,8 @@ diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
 parse/load failures, and also when the program itself fails: an unexpected
 exception ends the run with one `error:` line, not a traceback. Multiple
 inputs are processed one at a time in argument order. The cyclic garbage
-collector is off for the run (see `main`) and back as it was afterwards.
+collector is off for the run (see `main`) and back as it was afterwards;
+`run`, the `ocdf` command, also spares the interpreter its collection at exit.
 
 Each subcommand's handler takes (args, content, path), lets a bad input raise
 its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
@@ -73,6 +74,15 @@ def main(argv: list[str] | None = None) -> int:
         if gc_was_enabled:
             gc.enable()
     return max(code for code, _, _ in results)
+
+
+def run() -> None:
+    """The `ocdf` command: `main`, then exit with its code. The objects left
+    alive are frozen first (`gc.freeze`), so the interpreter's shutdown skips
+    the full collection it would spend on them."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 def _bind(subcommand: str) -> None:
@@ -233,4 +243,4 @@ def _style(line: str, color: str, args: argparse.Namespace) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

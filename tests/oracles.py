@@ -942,6 +942,57 @@ _REF_FLOW_KINDS = FlowKind._value2member_map_
 _REF_FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 
 
+# --- reference validator: one feature lookup per flow endpoint ---------------
+#
+# Kept verbatim from before the validator's constraint walk tested endpoints
+# against per-class id sets, so the two can be compared on findings lists.
+# It shares only the diagnostic records with the package; the structural
+# rules come from the reference loader's copy above.
+
+def reference_validate(cls: OcdfClass) -> list[Diagnostic]:
+    """The findings of one class, unsorted, in the order the walk finds them."""
+    findings: list[Diagnostic] = []
+    features, flows = _ref_check_class(cls.name, cls.features, cls.flows, findings)
+    for feat in cls.features:
+        if feat.kind is FeatureKind.INTERFACE_METHOD and feat.visibility is not Visibility.PUBLIC:
+            findings.append(_ref_error(
+                Code.E_IFACE_VIS, cls.name, (feat.id,),
+                f"interface method '{feat.id}' has {feat.visibility} visibility; "
+                "an interface method must be public"))
+        elif feat.kind is FeatureKind.METHOD and feat.visibility is Visibility.PUBLIC:
+            findings.append(_ref_error(
+                Code.E_METHOD_VIS, cls.name, (feat.id,),
+                f"method '{feat.id}' has public visibility; "
+                "a non-interface method must be non-public"))
+
+    for flow in flows:
+        source = features.get(flow.source)
+        target = features.get(flow.target)
+        if source is None or target is None:
+            continue  # reported as E_DANGLING_REF
+
+        if flow.kind is FlowKind.CONTROL:
+            if not (source.is_method_kind and target.is_method_kind):
+                findings.append(_ref_error(
+                    Code.E_CF_ENDPOINT, cls.name, (flow.source, flow.target),
+                    f"control flow {flow.source}->{flow.target} touches a data member; "
+                    "control flow connects only method instances"))
+        else:
+            if not source.is_method_kind and not target.is_method_kind:
+                findings.append(_ref_error(
+                    Code.E_DF_ENDPOINT, cls.name, (flow.source, flow.target),
+                    f"data flow {flow.source}->{flow.target} connects two data members; "
+                    "data flow connects two methods or a method and a data member"))
+            elif (target.kind is FeatureKind.MEMBER and target.is_const
+                  and source.is_method_kind and not source.is_constructor):
+                # Fires only on writes (const member as target); reads are fine.
+                findings.append(_ref_error(
+                    Code.E_CONST_WRITE, cls.name, (flow.source, flow.target),
+                    f"non-constructor '{flow.source}' writes constant member '{flow.target}'; "
+                    "only constructors may modify constant data members"))
+    return findings
+
+
 # --- reference writers: a dict per record, then json.dumps -------------------
 #
 # Kept from before the package wrote its JSON by hand: the canonical model

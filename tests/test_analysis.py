@@ -2,9 +2,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocdf.analysis import (
     AbstractionLevel,
+    _leading,
+    _name_token,
     detect_races,
     project,
     substructures,
@@ -353,3 +356,51 @@ def test_long_control_graphs_do_not_overflow_the_stack(cycle):
     hazards = detect_races(cls)
     assert [(h.member, h.entry_points) for h in hazards] == [("x", ("A", "B"))]
     assert hazards == reference_races(cls)
+
+
+# leading name tokens: one regular expression for ASCII names
+
+NAME_PARTS = ["", "_", "__", "get", "Get", "GET", "x", "X", "9", "-", " ", "\n",
+              "ǅ", "ǆ", "Ǆ", "É", "é", "ß", "ẞ", "İ", "Σ", "变量", "ſ", "K"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from(NAME_PARTS), max_size=4).map("".join),
+                max_size=8))
+def test_leading_tokens_are_the_character_loop_tokens(names):
+    """The regular expression gives `_name_token`'s token on every ASCII name;
+    other names take `_name_token` itself. Leading, trailing and doubled
+    underscores, empty names, and upper- and titlecase letters outside ASCII
+    (`ǅ`) all occur."""
+    for name in names:
+        if name.isascii():
+            assert _leading(name)[0].lower() == _name_token(name), name
+    cls = OcdfClass("C", tuple(Feature(f"f{i}", FeatureKind.MEMBER, name)
+                               for i, name in enumerate(names)))
+    assert substructures(cls) == reference_substructures(cls)
+
+
+# a feature id repeated with another kind: the last feature names the id
+
+REPEATED_ID_CASES = {
+    # name: (class, members expected to carry a hazard)
+    "member_then_method": (OcdfClass(
+        "C", (member("x"), method("x"), iface("A"), iface("B"), member("y")),
+        (D("A", "x"), D("B", "x"), D("x", "A"), D("x", "y"), D("y", "B"), C("A", "x"))),
+        {"x", "y"}),
+    "method_then_member": (OcdfClass(
+        "C", (method("x"), member("x"), iface("A"), iface("B"), member("y")),
+        (D("A", "x"), D("x", "B"), D("x", "y"), D("B", "y"), C("A", "x"))), {"x"}),
+    "const_member_then_member": (OcdfClass(
+        "C", (member("x", is_const=True), member("x"), iface("A"), iface("B")),
+        (D("A", "x"), D("x", "B"))), {"x"}),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_ID_CASES)
+def test_repeated_ids_match_reference(case):
+    cls, members = REPEATED_ID_CASES[case]
+    hazards = detect_races(cls)
+    assert hazards == reference_races(cls)
+    assert {h.member for h in hazards} == members
+    assert substructures(cls) == reference_substructures(cls)

@@ -404,6 +404,56 @@ def test_console_entry_point_runs():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("case", ["clean", "findings", "missing"])
+def test_python_m_ocdf_is_main(tmp_path, capsys, case):
+    """`python -m ocdf` writes what `main` writes in-process, to stdout and
+    to --output, with the same stderr and exit code."""
+    paths = {"clean": tmp_path / "clean.json", "findings": tmp_path / "bad.json",
+             "missing": tmp_path / "missing.json"}
+    paths["clean"].write_bytes(serialize(random_valid_model(random.Random(3))))
+    paths["findings"].write_text(BAD_MODEL)
+    for to_file in (False, True):
+        outputs = {}
+        for where in ("in-process", "python -m ocdf"):
+            out = tmp_path / f"{where}.out"
+            argv = ["validate", *(["--output", str(out)] if to_file else []), str(paths[case])]
+            if where == "in-process":
+                code, stdout, stderr = run_cli(capsys, *argv)
+            else:
+                result = subprocess.run([sys.executable, "-m", "ocdf", *argv],
+                                        capture_output=True, text=True)
+                code, stdout, stderr = result.returncode, result.stdout, result.stderr
+            outputs[where] = (code, stdout, stderr, out.read_bytes() if to_file else None)
+        assert outputs["in-process"] == outputs["python -m ocdf"]
+        assert outputs["in-process"][0] == {"clean": 0, "findings": 1, "missing": 2}[case]
+
+
+def test_console_entry_freezes_the_heap_before_exit(tmp_path):
+    """`run` exits with main's code and leaves the objects alive at exit
+    frozen, so interpreter shutdown does not collect them."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MODEL)
+    script = ("import atexit, gc, sys\n"
+              "import ocdf.cli\n"
+              "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+              f"sys.argv = ['ocdf', 'validate', '--output', {os.devnull!r}, {str(bad)!r}]\n"
+              "ocdf.cli.run()")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (1, "")
+    assert int(result.stdout) > 0
+
+
+def test_main_leaves_the_freeze_count_as_it_found_it(tmp_path, capsys):
+    """Only the console entry freezes; library callers of `main` keep a
+    collector that sees everything."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MODEL)
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "validate", str(bad))[0] == 1
+    assert run_cli(capsys, "analyze", "--format", "json", str(bad))[0] == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_runtime_imports_only_the_standard_library():
     script = ("import sys; before = set(sys.modules); import ocdf, ocdf.cli; "
               "print(*sorted(set(sys.modules) - before))")

@@ -4,8 +4,10 @@ Computational Complexity", ESEC/FSE 2007). Each shape runs at n and at 4n;
 the best of 3 CPU times must grow by less than 8 times, where a linear
 stage gives about 4 and a quadratic one about 16. Each stage as it stood
 before it was made linear fails here: node ids and class lookup with a
-ratio near 20, the race report's entry points near 13. The other shapes
-guard stages that have been near-linear all along."""
+ratio near 20, the race report's entry points near 13. The component merge
+of `substructures` fails the balanced-merge shape when it ignores which
+component is the smaller. The other shapes guard stages that have been
+near-linear all along."""
 
 import gc
 import io
@@ -19,6 +21,7 @@ from ocdf.analysis import detect_races, substructures
 from ocdf.cli import main
 from ocdf.diagnostics import MiniOoError
 from ocdf.minioo import extract, parse
+from ocdf.minioo.ast import Program
 from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
                         deserialize, serialize)
 from ocdf.render import render_dot, render_model_dot
@@ -54,10 +57,17 @@ def _colliding_ids(n: int):
 
 
 def _inheritance_chain(n: int):
-    """Extraction of the last class of one chain of n classes."""
-    source = "class A0 { private int f0; }\n" + "".join(
-        f"class A{i} : A{i - 1} {{ private int f{i}; }}\n" for i in range(1, n))
-    program = parse(source)
+    """Extraction of the last class of one chain of n classes. At n = 10000
+    the small run takes about 13 ms on a shared 2-vCPU VM, well clear of
+    timer noise; at 2000 it took 2 ms and failed now and then. The chain
+    is built from one parsed link: parsing the whole source would take far
+    longer than the extraction it sets up."""
+    root, link = parse("class A0 { private int f0; }\n"
+                       "class A1 : A0 { private int f1; }\n").classes
+    field = link.fields[0]
+    program = Program((root, *(link._replace(name=f"A{i}", parent=f"A{i - 1}",
+                                             fields=(field._replace(name=f"f{i}"),))
+                               for i in range(1, n))))
     return lambda: extract(program, f"A{n - 1}")
 
 
@@ -119,6 +129,18 @@ def _control_cycle(n: int):
     return lambda: (detect_races(cls), substructures(cls))
 
 
+def _balanced_merges(n: int):
+    """Substructures of n methods joined into one component by flows that
+    alternate in direction between the growing component and a new method:
+    a merge that always moves one fixed side, whatever the sizes, moves the
+    whole component on every other flow."""
+    features = tuple(Feature(f"c{i}", FeatureKind.METHOD, f"c{i}") for i in range(n))
+    flows = tuple(Flow(FlowKind.CONTROL, *((f"c{i}", "c0") if i % 2 else ("c0", f"c{i}")))
+                  for i in range(1, n))
+    cls = OcdfClass("C", features, flows)
+    return lambda: substructures(cls)
+
+
 def _analyze_json(n: int):
     """`analyze --format json` on the race class, read from standard input."""
     document = serialize(OcdfModel((_race_class(n),)))
@@ -134,9 +156,9 @@ def _analyze_json(n: int):
 
 
 @pytest.mark.parametrize("shape, n", [
-    (_colliding_ids, 1000), (_inheritance_chain, 2000), (_race_chain, 1000),
+    (_colliding_ids, 1000), (_inheritance_chain, 10000), (_race_chain, 1000),
     (_shared_id_classes, 500), (_parse_errors, 1000), (_all_findings, 2000),
-    (_control_cycle, 2000), (_analyze_json, 500)])
+    (_control_cycle, 2000), (_balanced_merges, 4000), (_analyze_json, 500)])
 def test_stage_grows_near_linearly(shape, n):
     small, large = _cpu_seconds(shape(n)), _cpu_seconds(shape(4 * n))
     assert large < MAX_RATIO * max(small, 1e-3), (small, large)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocdf.diagnostics import Code, ModelError
 from ocdf.model import (
@@ -14,9 +15,11 @@ from ocdf.model import (
     build_class,
     build_model,
 )
-from ocdf.validator import explain, validate, validate_class
+from ocdf.validator import _validate_class, explain, validate, validate_class
 
-from generators import random_valid_class
+from generators import random_valid_class, random_valid_model
+from oracles import _RefLoader, reference_validate
+from test_loader_differential import MUTATIONS, document, mutate
 
 
 def feat(fid, kind, vis=Visibility.PRIVATE, **kw):
@@ -170,3 +173,84 @@ def test_explain_unknown_code():
 def test_every_code_has_rule_text():
     for code in Code:
         assert explain(code)
+
+
+# the set-indexed constraint walk against the reference validator in oracles.py
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+def assert_same_findings(model: OcdfModel) -> None:
+    for cls in model.classes:
+        assert _validate_class(cls) == reference_validate(cls)
+
+
+def loaded_with_problems(doc: dict) -> OcdfModel:
+    """The model of a document as the reference loader builds it, keeping
+    repeated ids and dangling flows instead of raising on them."""
+    return _RefLoader().model(doc)
+
+
+@DIFFERENTIAL
+@given(st.integers(0, 2**32))
+def test_generated_models_validate_alike(seed):
+    assert_same_findings(random_valid_model(random.Random(seed)))
+
+
+@DIFFERENTIAL
+@given(st.integers(0, 2**32), st.sampled_from([None, *MUTATIONS]))
+def test_mutated_models_validate_alike(seed, also):
+    """Each one-field mutation of the loader's differential test on its own,
+    then with a second one on top."""
+    rng = random.Random(seed)
+    for mutation in MUTATIONS:
+        doc = document(seed)
+        mutate(doc, mutation, rng)
+        if also is not None:
+            mutate(doc, also, rng)
+        assert_same_findings(loaded_with_problems(doc))
+
+
+def D(source, target):
+    return Flow(FlowKind.DATA, source, target)
+
+
+def C(source, target):
+    return Flow(FlowKind.CONTROL, source, target)
+
+
+VALIDATOR_CASES = {
+    # name: (class, the codes it must yield)
+    "repeated_id_member_then_method": (OcdfClass("C", (
+        feat("x", FeatureKind.MEMBER, is_const=True), feat("x", FeatureKind.METHOD),
+        feat("m", FeatureKind.MEMBER), feat("k", FeatureKind.MEMBER, is_const=True),
+        feat("f", FeatureKind.METHOD)),
+        (C("x", "x"), D("x", "m"), D("m", "x"), D("x", "k"), D("f", "x"))),
+        [Code.E_DUP_ID, Code.E_CONST_WRITE]),
+    "repeated_id_method_then_member": (OcdfClass("C", (
+        feat("x", FeatureKind.METHOD), feat("x", FeatureKind.MEMBER, is_const=True),
+        feat("m", FeatureKind.MEMBER), feat("f", FeatureKind.METHOD)),
+        (C("x", "f"), D("x", "m"), D("f", "x"))),
+        [Code.E_DUP_ID, Code.E_CF_ENDPOINT, Code.E_DF_ENDPOINT, Code.E_CONST_WRITE]),
+    "constructor_writes_const_member": (OcdfClass("C", (
+        feat("k", FeatureKind.MEMBER, is_const=True),
+        feat("init", FeatureKind.METHOD, is_constructor=True),
+        feat("run", FeatureKind.INTERFACE_METHOD, Visibility.PUBLIC, is_constructor=True),
+        feat("f", FeatureKind.METHOD)),
+        (D("init", "k"), D("run", "k"), D("k", "f"))),
+        []),
+    "dangling_endpoint": (OcdfClass("C", (
+        feat("m", FeatureKind.MEMBER), feat("k", FeatureKind.MEMBER, is_const=True),
+        feat("f", FeatureKind.METHOD)),
+        (C("m", "ghost"), D("ghost", "k"), D("f", "ghost"), D("f", "k"), C("m", "f"))),
+        [Code.E_DANGLING_REF, Code.E_DANGLING_REF, Code.E_DANGLING_REF,
+         Code.E_CONST_WRITE, Code.E_CF_ENDPOINT]),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATOR_CASES)
+def test_hand_built_classes_validate_alike(case):
+    cls, expected = VALIDATOR_CASES[case]
+    found = _validate_class(cls)
+    assert found == reference_validate(cls)
+    assert [d.code for d in found] == expected
