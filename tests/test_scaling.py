@@ -31,17 +31,20 @@ RUNS = 3
 MAX_RATIO = 8
 
 
-def _cpu_seconds(call) -> float:
-    """Best of RUNS, with the cyclic collector off: its passes over
-    everything alive grow with the input, not with the stage's work."""
-    best = float("inf")
+def _cpu_seconds(*calls) -> list[float]:
+    """Best of RUNS for each call, with the cyclic collector off: its passes
+    over everything alive grow with the input, not with the stage's work.
+    The calls take turns, so a slow spell of a shared host falls on every
+    size alike instead of on the runs of one."""
+    best = [float("inf")] * len(calls)
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(RUNS):
-            start = time.process_time()
-            call()
-            best = min(best, time.process_time() - start)
+            for i, call in enumerate(calls):
+                start = time.process_time()
+                call()
+                best[i] = min(best[i], time.process_time() - start)
     finally:
         if enabled:
             gc.enable()
@@ -160,5 +163,5 @@ def _analyze_json(n: int):
     (_shared_id_classes, 500), (_parse_errors, 1000), (_all_findings, 2000),
     (_control_cycle, 2000), (_balanced_merges, 4000), (_analyze_json, 500)])
 def test_stage_grows_near_linearly(shape, n):
-    small, large = _cpu_seconds(shape(n)), _cpu_seconds(shape(4 * n))
+    small, large = _cpu_seconds(shape(n), shape(4 * n))
     assert large < MAX_RATIO * max(small, 1e-3), (small, large)
