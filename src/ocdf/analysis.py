@@ -20,13 +20,7 @@ from itertools import chain, count, repeat
 from operator import itemgetter
 
 from .diagnostics import TokenEnum
-from .model import METHOD_KINDS, FeatureKind, Flow, FlowKind, OcdfClass
-
-# The enum members the per-feature and per-flow loops test, as globals: on
-# CPython 3.11, reading `FlowKind.DATA` off its class costs about ten times
-# as much as reading a global.
-_MEMBER, _INTERFACE_METHOD = FeatureKind.MEMBER, FeatureKind.INTERFACE_METHOD
-_DATA, _CONTROL = FlowKind.DATA, FlowKind.CONTROL
+from .model import CONTROL, DATA, INTERFACE_METHOD, MEMBER, Flow, OcdfClass, _roles
 
 
 class AbstractionLevel(TokenEnum):
@@ -42,10 +36,10 @@ def project(cls: OcdfClass, level: AbstractionLevel) -> OcdfClass:
     """Narrow the flow set to the given level; features are never removed."""
     if level is AbstractionLevel.L3:
         return cls
-    members = {f.id for f in cls.features if f.kind is _MEMBER}
+    members = {f.id for f in cls.features if f.kind is MEMBER}
 
     def keep(flow: Flow) -> bool:
-        if flow.kind is _DATA:
+        if flow.kind is DATA:
             return flow.source in members or flow.target in members
         return level is AbstractionLevel.L2
 
@@ -155,27 +149,21 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
     collects the control graph; reachability comes from one SCC condensation
     of that graph, so the cost is near-linear in features plus flows.
     """
-    methods: set[str] = set()
-    writing: set[str] = set()  # methods that are not constructors
-    for fid, feat in cls.feature_map().items():  # the last feature wins a repeated id
-        if feat.kind in METHOD_KINDS:
-            methods.add(fid)
-            if not feat.is_constructor:
-                writing.add(fid)
+    methods, writing, _ = _roles(cls.feature_map())
     # the ids the member loop below asks for: every non-const member feature's,
     # also where a later feature repeats the id
-    members = {f.id for f in cls.features if f.kind is _MEMBER and not f.is_const}
+    members = {f.id for f in cls.features if f.kind is MEMBER and not f.is_const}
     writers: defaultdict[str, set[str]] = defaultdict(set)
     readers: defaultdict[str, set[str]] = defaultdict(set)
     calls: defaultdict[str, list[str]] = defaultdict(list)
     for flow in cls.flows:
         source, target = flow.source, flow.target
-        if flow.kind is _DATA:
+        if flow.kind is DATA:
             if target in members and source in writing:
                 writers[target].add(source)
             if source in members and target in methods:
                 readers[source].add(target)
-        elif flow.kind is _CONTROL:
+        elif flow.kind is CONTROL:
             calls[source].append(target)
     roots, entries = _entry_points(cls, calls)
     named: dict[int, tuple[str, ...]] = {}  # hazards share few bitsets; name each once
@@ -183,7 +171,7 @@ def detect_races(cls: OcdfClass) -> list[RaceHazard]:
     hazards: list[RaceHazard] = []
     for member in cls.features:
         written = writers.get(member.id)
-        if written is None or member.kind is not _MEMBER or member.is_const:
+        if written is None or member.kind is not MEMBER or member.is_const:
             continue
         read = readers.get(member.id, set())
         if len(written) < 2 and read <= written:
@@ -224,7 +212,7 @@ def _entry_points(cls: OcdfClass,
     the bits are then ORed forward through the components in topological
     order, so every node of a component gets the same set.
     """
-    roots = sorted({f.id for f in cls.features if f.kind is _INTERFACE_METHOD})
+    roots = sorted({f.id for f in cls.features if f.kind is INTERFACE_METHOD})
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}

@@ -13,10 +13,11 @@ Each subcommand's handler takes (args, content, path), lets a bad input raise
 its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
 place where a failed input becomes exit code 2 and its stderr lines.
 
-A run imports only the modules its subcommand calls (`_CALLS`). `main` binds
-their names as globals of this module unless one is bound already, so a
-caller may rebind any of them (for tracing, say) before or after the import;
-until then they resolve through this module's `__getattr__` (PEP 562).
+Handlers call the other layers through the package's lazy names: `main`
+binds those of its subcommand (`_CALLS`) from `ocdf` as globals of this
+module, importing only the modules they live in. A name bound already keeps
+its binding, so a caller may rebind one (for tracing, say) before or after
+the import; until then, reading one off this module reads it off `ocdf`.
 """
 
 from __future__ import annotations
@@ -27,19 +28,18 @@ import gc
 import os
 import sys
 
+import ocdf
+
 from .diagnostics import MiniOoError, ModelError, OcdfError, findings_json, indented_json
 
-# Subcommand -> {module: the names its handler calls from that module}.
+# Subcommand -> the names of `ocdf.__all__` its handler calls.
 _CALLS = {
-    "extract": {"minioo": ("parse", "extract", "extract_lazy_inherited"),
-                "model": ("build_model", "serialize")},
-    "validate": {"model": ("deserialize",), "validator": ("validate",)},
-    "analyze": {"model": ("deserialize",), "analysis": ("substructures", "detect_races")},
-    "render": {"model": ("deserialize",), "analysis": ("AbstractionLevel",),
-               "render": ("RankDir", "RenderOptions", "render_model_dot")},
+    "extract": ("parse", "extract", "extract_lazy_inherited", "build_model", "serialize"),
+    "validate": ("deserialize", "validate"),
+    "analyze": ("deserialize", "substructures", "detect_races"),
+    "render": ("deserialize", "AbstractionLevel", "RankDir", "RenderOptions",
+               "render_model_dot"),
 }
-_HOME = {name: module for calls in _CALLS.values()
-         for module, names in calls.items() for name in names}
 
 _RED = "\x1b[31m"
 _YELLOW = "\x1b[33m"
@@ -54,7 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()  # tokens, syntax trees and models hold no reference cycles
     try:
-        _bind(args.subcommand)
+        for name in _CALLS[args.subcommand]:  # a binding in place already wins
+            globals().setdefault(name, getattr(ocdf, name))
         handler = globals()[f"_run_{args.subcommand}"]  # looked up per run
         results = [_run_one(handler, args, path) for path in args.inputs]
         try:
@@ -85,28 +86,10 @@ def run() -> None:
     sys.exit(code)
 
 
-def _bind(subcommand: str) -> None:
-    """Import the subcommand's modules and bind the names its handler calls,
-    keeping any binding that is already in place."""
-    namespace = globals()
-    for module, names in _CALLS[subcommand].items():
-        loaded = _import(module, names)
-        for name in names:
-            namespace.setdefault(name, getattr(loaded, name))
-
-
 def __getattr__(name: str):
-    try:
-        module = _HOME[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(_import(module, (name,)), name)
-
-
-def _import(module: str, names: tuple[str, ...]):
-    """`from .module import names`. This takes the import statement's path,
-    which `-X importtime` reports; importlib.import_module's path it omits."""
-    return __import__(module, globals(), None, names, 1)
+    if any(name in names for names in _CALLS.values()):
+        return getattr(ocdf, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,6 +133,8 @@ def _run_one(handler, args: argparse.Namespace, path: str) -> tuple[int, str, st
     per diagnostic of a `ModelError` or `MiniOoError`."""
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with descriptor 0 closed
+                return 2, "", "error: cannot read -: standard input is closed\n"
             content = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -193,31 +178,28 @@ def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[
 
 
 def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
-    model = deserialize(content)
+    analyses = [(cls, substructures(cls), detect_races(cls))
+                for cls in deserialize(content).classes]
     if args.format == "json":
-        report = []
-        for cls in model.classes:
-            parts = substructures(cls)
-            report.append({
-                "name": cls.name,
-                "substructures": {
-                    "components": parts.components,
-                    "cut_suggestions": [{"components": pair, "shared_prefix_count": n}
-                                        for pair, n in parts.cut_suggestions]},
-                "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
-                           "entry_points": h.entry_points} for h in detect_races(cls)]})
-        return 0, indented_json(report) + "\n"
+        return 0, indented_json([{
+            "name": cls.name,
+            "substructures": {
+                "components": parts.components,
+                "cut_suggestions": [{"components": pair, "shared_prefix_count": n}
+                                    for pair, n in parts.cut_suggestions]},
+            "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
+                       "entry_points": h.entry_points} for h in hazards]}
+            for cls, parts, hazards in analyses]) + "\n"
 
     lines: list[str] = []
-    for cls in model.classes:
+    for cls, parts, hazards in analyses:
         lines.append(f"class {cls.name}")
-        report = substructures(cls)
-        for component in report.components:
+        for component in parts.components:
             lines.append(f"  component: {' '.join(component)}")
-        for (a, b), count in report.cut_suggestions:
+        for (a, b), count in parts.cut_suggestions:
             lines.append(f"  related components {a} and {b}: "
                          f"{count} shared name token pair(s)")
-        for hazard in detect_races(cls):
+        for hazard in hazards:
             lines.append(_style(
                 f"  warning: possible race on '{hazard.member}' "
                 f"(writers: {', '.join(hazard.writers) or '-'}; "

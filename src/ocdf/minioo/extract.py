@@ -30,7 +30,8 @@ reference, marked inherited, together with the flows that touch it.
 from __future__ import annotations
 
 from ..diagnostics import Code, MiniOoError, SourceError
-from ..model import Feature, FeatureKind, Flow, FlowKind, OcdfClass, Visibility, build_class
+from ..model import (CONTROL, DATA, INTERFACE_METHOD, MEMBER, METHOD, PUBLIC, Feature, Flow,
+                     OcdfClass, build_class)
 from . import ast
 
 _Decl = ast.FieldDecl | ast.MethodDecl
@@ -79,19 +80,16 @@ def _extract(program: ast.Program, class_name: str, include_inherited: bool) -> 
 
 
 def _field_feature(decl: ast.FieldDecl, inherited: bool) -> Feature:
-    return Feature(id=decl.name, kind=FeatureKind.MEMBER, name=decl.name,
-                   decl=decl.type_name, visibility=decl.visibility,
-                   is_static=decl.is_static, is_const=decl.is_const,
-                   inherited=inherited)
+    return Feature(id=decl.name, kind=MEMBER, name=decl.name, decl=decl.type_name,
+                   visibility=decl.visibility, is_static=decl.is_static,
+                   is_const=decl.is_const, inherited=inherited)
 
 
 def _method_feature(decl: ast.MethodDecl, owner_name: str, inherited: bool) -> Feature:
-    public = decl.visibility is Visibility.PUBLIC
-    return Feature(id=decl.name,
-                   kind=FeatureKind.INTERFACE_METHOD if public else FeatureKind.METHOD,
-                   name=decl.name, decl=decl.signature(), visibility=decl.visibility,
-                   is_static=decl.is_static, is_constructor=decl.name == owner_name,
-                   inherited=inherited)
+    kind = INTERFACE_METHOD if decl.visibility is PUBLIC else METHOD
+    return Feature(id=decl.name, kind=kind, name=decl.name, decl=decl.signature(),
+                   visibility=decl.visibility, is_static=decl.is_static,
+                   is_constructor=decl.name == owner_name, inherited=inherited)
 
 
 def _find_class(classes: dict[str, list[ast.ClassDecl]], name: str) -> ast.ClassDecl | None:
@@ -193,7 +191,7 @@ class _Walker:
                 if isinstance(decl, ast.MethodDecl):
                     self._error(target, f"cannot assign to method '{target.name}'")
                 elif isinstance(decl, ast.FieldDecl):
-                    self.flows.append(Flow(FlowKind.DATA, method.name, decl.name))
+                    self.flows.append(Flow(DATA, method.name, decl.name))
             elif isinstance(stmt, ast.CallStmt):
                 self._walk_expr(stmt.call, method.name, scope, consumed=False)
             elif isinstance(stmt, ast.Return) and stmt.value is not None:
@@ -206,17 +204,17 @@ class _Walker:
             if isinstance(decl, ast.MethodDecl):
                 self._error(expr, f"method '{expr.name}' used as a value")
             elif isinstance(decl, ast.FieldDecl):
-                self.flows.append(Flow(FlowKind.DATA, decl.name, caller))
+                self.flows.append(Flow(DATA, decl.name, caller))
         elif isinstance(expr, ast.CallExpr):
             for arg in expr.args:
                 self._walk_expr(arg, caller, scope, consumed=True)
             decl = self._resolve(expr, scope)
             if isinstance(decl, ast.MethodDecl):
-                self.flows.append(Flow(FlowKind.CONTROL, caller, decl.name))
+                self.flows.append(Flow(CONTROL, caller, decl.name))
                 if expr.args:
-                    self.flows.append(Flow(FlowKind.DATA, caller, decl.name))
+                    self.flows.append(Flow(DATA, caller, decl.name))
                 if consumed:
-                    self.flows.append(Flow(FlowKind.DATA, decl.name, caller))
+                    self.flows.append(Flow(DATA, decl.name, caller))
             elif decl is not None:
                 self._error(expr, f"'{expr.name}' is not a method")
         # literals carry no flow

@@ -26,6 +26,10 @@ class TokKind(Enum):
     EOF = "end of input"
 
 
+# The kinds as module globals, for the per-token loops (see `model.MEMBER`).
+IDENT, INT, STRING = TokKind.IDENT, TokKind.INT, TokKind.STRING
+KEYWORD, PUNCT, EOF = TokKind.KEYWORD, TokKind.PUNCT, TokKind.EOF
+
 KEYWORDS = frozenset({
     "class", "public", "protected", "private",
     "static", "const", "return", "this",
@@ -55,15 +59,14 @@ _INT_RE = re.compile(r"[0-9]+")
 def describe(token: Token) -> str:
     """Name a token in a diagnostic; a string literal's value is escaped as
     repr() does, so the diagnostic stays on one line."""
-    if token[0] is TokKind.EOF:
+    if token[0] is EOF:
         return "end of input"
-    return repr(token[1]) if token[0] is TokKind.STRING else f"'{token[1]}'"
+    return repr(token[1]) if token[0] is STRING else f"'{token[1]}'"
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex the whole input; raises MiniOoError listing every bad character
     and unterminated string."""
-    IDENT, KEYWORD, PUNCT = TokKind.IDENT, TokKind.KEYWORD, TokKind.PUNCT
     tokens: list[Token] = []
     append = tokens.append
     errors: list[SourceError] = []
@@ -82,7 +85,7 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "punct":
             append((PUNCT, text, line, start - line_start + 1))
         elif kind == "int":
-            append((TokKind.INT, text, line, start - line_start + 1))
+            append((INT, text, line, start - line_start + 1))
         elif kind == "word":
             _word(text, start, line, line_start, tokens, errors)
         elif kind == "other":
@@ -93,7 +96,7 @@ def tokenize(source: str) -> list[Token]:
                 value = text[1:-1]
                 if "\\" in value:
                     value = _ESCAPE_RE.sub(r"\1", value)
-                append((TokKind.STRING, value, line, start - line_start + 1))
+                append((STRING, value, line, start - line_start + 1))
             else:
                 errors.append(SourceError(Code.E_PARSE, "unterminated string literal",
                                           line, start - line_start + 1))
@@ -103,7 +106,7 @@ def tokenize(source: str) -> list[Token]:
 
     if errors:
         raise MiniOoError(errors)
-    append((TokKind.EOF, "", line, len(source) - line_start + 1))
+    append((EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -117,12 +120,12 @@ def _word(text: str, start: int, line: int, line_start: int,
         ch = text[i]
         column = start + i - line_start + 1
         if ch.isalpha() or ch == "_":
-            kind = TokKind.KEYWORD if text[i:] in KEYWORDS else TokKind.IDENT
+            kind = KEYWORD if text[i:] in KEYWORDS else IDENT
             tokens.append((kind, text[i:], line, column))
             return
         digits = _INT_RE.match(text, i)
         if digits:
-            tokens.append((TokKind.INT, digits.group(), line, column))
+            tokens.append((INT, digits.group(), line, column))
             i = digits.end()
         else:
             errors.append(SourceError(Code.E_PARSE, f"unexpected character {ch!r}",

@@ -32,15 +32,11 @@ the stack; a deeper call is a syntax error at its opening parenthesis.
 from __future__ import annotations
 
 from ..diagnostics import Code, MiniOoError, SourceError
-from ..model import Visibility
+from ..model import _VISIBILITIES
 from . import ast
-from .lexer import Token, TokKind, describe, tokenize
+from .lexer import EOF, IDENT, INT, KEYWORD, PUNCT, STRING, Token, describe, tokenize
 
 MAX_NESTING = 200
-
-_VISIBILITIES = Visibility._value2member_map_
-IDENT, INT, STRING = TokKind.IDENT, TokKind.INT, TokKind.STRING
-KEYWORD, PUNCT, EOF = TokKind.KEYWORD, TokKind.PUNCT, TokKind.EOF
 
 
 def parse(source: str) -> ast.Program:

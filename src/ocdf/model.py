@@ -48,7 +48,15 @@ class Visibility(TokenEnum):
     PRIVATE = "private"
 
 
-METHOD_KINDS = frozenset({FeatureKind.METHOD, FeatureKind.INTERFACE_METHOD})
+# The members as module globals, for the loops that test one per feature or
+# per flow: on CPython 3.11, reading `FlowKind.DATA` off its class costs
+# about ten times as much as reading a global.
+MEMBER, METHOD = FeatureKind.MEMBER, FeatureKind.METHOD
+INTERFACE_METHOD = FeatureKind.INTERFACE_METHOD
+CONTROL, DATA = FlowKind.CONTROL, FlowKind.DATA
+PUBLIC = Visibility.PUBLIC
+
+METHOD_KINDS = frozenset({METHOD, INTERFACE_METHOD})
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +193,23 @@ def _check_class_names(classes: Iterable[OcdfClass], problems: list[Diagnostic])
             problems.append(_error(Code.E_DUP_ID, cls.name, (),
                                    f"duplicate class name '{cls.name}'"))
         seen.add(cls.name)
+
+
+def _roles(feature_map: dict[str, Feature]) -> tuple[set[str], set[str], set[str]]:
+    """The ids of the methods, the writers (methods that are not constructors)
+    and the constant members in an id->feature map, the last feature winning
+    a repeated id: the validator and detect_races test flow endpoints against them."""
+    methods: set[str] = set()
+    writers: set[str] = set()
+    const_members: set[str] = set()
+    for fid, feat in feature_map.items():
+        if feat.kind in METHOD_KINDS:
+            methods.add(fid)
+            if not feat.is_constructor:
+                writers.add(fid)
+        elif feat.kind is MEMBER and feat.is_const:
+            const_members.add(fid)
+    return methods, writers, const_members
 
 
 def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> Diagnostic:

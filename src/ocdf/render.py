@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .analysis import AbstractionLevel, project
 from .diagnostics import TokenEnum
-from .model import Feature, FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility
+from .model import CONTROL, INTERFACE_METHOD, MEMBER, Feature, OcdfClass, OcdfModel, Visibility
 
 
 class RankDir(TokenEnum):
@@ -69,12 +69,12 @@ def _render_class(cls: OcdfClass, opts: RenderOptions, node_id: Callable[[str], 
         style = _style(feat)
         if style:
             attrs.append(f'style="{style}"')
-        if feat.kind is FeatureKind.INTERFACE_METHOD:
+        if feat.kind is INTERFACE_METHOD:
             attrs.append("fillcolor=lightgray")
         lines.append(f"    {ids[feat.id]} [{', '.join(attrs)}];")
     for flow in flows:
         attrs = []
-        if flow.kind is FlowKind.CONTROL:
+        if flow.kind is CONTROL:
             attrs.append("style=dashed")
         if flow.label is not None:
             attrs.append(f'label="{_escape(flow.label)}"')
@@ -87,7 +87,7 @@ def _render_class(cls: OcdfClass, opts: RenderOptions, node_id: Callable[[str], 
 def _label(feat: Feature) -> str:
     symbol = _VIS_SYMBOL[feat.visibility]
     static = "static " if feat.is_static else ""
-    if feat.kind is FeatureKind.MEMBER:
+    if feat.kind is MEMBER:
         typed = f" : {feat.decl}" if feat.decl else ""
         return f"{symbol} {static}{feat.name}{typed}"
     signature = feat.decl or f"{feat.name}()"
@@ -96,9 +96,9 @@ def _label(feat: Feature) -> str:
 
 def _style(feat: Feature) -> str:
     parts = []
-    if feat.kind is not FeatureKind.MEMBER:
+    if feat.kind is not MEMBER:
         parts.append("rounded")
-    if feat.kind is FeatureKind.INTERFACE_METHOD:
+    if feat.kind is INTERFACE_METHOD:
         parts.append("filled")
     if feat.inherited:
         parts.append("dashed")

@@ -9,15 +9,8 @@ a list.
 from __future__ import annotations
 
 from .diagnostics import Code, Diagnostic, ModelError
-from .model import (METHOD_KINDS, FeatureKind, FlowKind, OcdfClass, OcdfModel, Visibility,
-                    _check_class, _check_class_names, _error)
-
-# The enum members the per-feature and per-flow loops test, as globals: on
-# CPython 3.11, reading `FlowKind.CONTROL` off its class costs about ten
-# times as much as reading a global.
-_MEMBER, _METHOD = FeatureKind.MEMBER, FeatureKind.METHOD
-_INTERFACE_METHOD, _PUBLIC = FeatureKind.INTERFACE_METHOD, Visibility.PUBLIC
-_CONTROL = FlowKind.CONTROL
+from .model import (CONTROL, INTERFACE_METHOD, METHOD, PUBLIC, OcdfClass, OcdfModel,
+                    _check_class, _check_class_names, _error, _roles)
 
 # One entry per code: the rule the code enforces, worded once.
 _RULES: dict[Code, str] = {
@@ -66,31 +59,21 @@ def _validate_class(cls: OcdfClass) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     features, flows = _check_class(cls.name, cls.features, cls.flows, findings)
     for feat in cls.features:
-        if feat.kind is _INTERFACE_METHOD and feat.visibility is not _PUBLIC:
+        if feat.kind is INTERFACE_METHOD and feat.visibility is not PUBLIC:
             findings.append(_error(
                 Code.E_IFACE_VIS, cls.name, (feat.id,),
                 f"interface method '{feat.id}' has {feat.visibility} visibility; "
                 "an interface method must be public"))
-        elif feat.kind is _METHOD and feat.visibility is _PUBLIC:
+        elif feat.kind is METHOD and feat.visibility is PUBLIC:
             findings.append(_error(
                 Code.E_METHOD_VIS, cls.name, (feat.id,),
                 f"method '{feat.id}' has public visibility; "
                 "a non-interface method must be non-public"))
 
-    # The walk tests endpoints against id sets; the last feature wins a repeated id.
-    methods: set[str] = set()
-    writing: set[str] = set()  # methods that are not constructors
-    const: set[str] = set()  # constant members
-    for fid, feat in features.items():
-        if feat.kind in METHOD_KINDS:
-            methods.add(fid)
-            if not feat.is_constructor:
-                writing.add(fid)
-        elif feat.kind is _MEMBER and feat.is_const:
-            const.add(fid)
+    methods, writing, const = _roles(features)
     for flow in flows:
         source, target = flow.source, flow.target
-        if flow.kind is _CONTROL:
+        if flow.kind is CONTROL:
             if source not in methods or target not in methods:
                 if source in features and target in features:  # else an E_DANGLING_REF
                     findings.append(_error(

@@ -132,6 +132,13 @@ def test_repeated_stdin_is_a_usage_error(capsys, monkeypatch):
     assert sys.stdin.buffer.read() == document  # rejected before any input was read
 
 
+def test_closed_stdin_is_an_unreadable_input():
+    result = subprocess.run([sys.executable, "-m", "ocdf", "validate", "-"],
+                            capture_output=True, text=True, preexec_fn=lambda: os.close(0))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: cannot read -: standard input is closed\n")
+
+
 def test_deeply_nested_minioo_is_a_parse_error(tmp_path, capsys):
     source = tmp_path / "deep.moo"
     source.write_text("class C { private int f(int a) { return "
@@ -537,6 +544,16 @@ def test_rebound_callees_are_the_ones_the_handlers_call(tmp_path, capsys):
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True)
     assert set(result.stdout.split()) == set(HANDLER_CALLEES)
+
+
+def test_cli_resolves_its_callees_through_the_package():
+    script = ("import ocdf.cli\n"
+              "names = {n for calls in ocdf.cli._CALLS.values() for n in calls}\n"
+              "assert names <= set(ocdf.__all__), names - set(ocdf.__all__)\n"
+              "assert all(getattr(ocdf.cli, n) is getattr(ocdf, n) for n in names)\n"
+              "for name in ('check_dot', 'validate_class', '__path__'):\n"
+              "    assert not hasattr(ocdf.cli, name), name")
+    subprocess.run([sys.executable, "-c", script], check=True)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
