@@ -4,13 +4,21 @@ Subcommands read model documents (or MiniOO source for `extract`) from file
 arguments or standard input ("-"). Exit codes: 0 on success with no error
 diagnostics, 1 when the validator reports findings, 2 on usage, IO, or
 parse/load failures, and also when the program itself fails: an unexpected
-exception ends the run with one `error:` line, not a traceback. Multiple
-inputs are processed one at a time in argument order. The cyclic garbage
-collector is off for the run (see `main`) and back as it was afterwards;
-`run`, the `ocdf` command, also spares the interpreter its collection at exit.
+exception ends the run with one `error:` line, not a traceback. The cyclic
+garbage collector is off for the run (see `main`) and back as it was
+afterwards; `run`, the `ocdf` command, also spares the interpreter its
+collection at exit.
+
+The output (standard output's bytes, or the `--output` file) is opened
+first. Inputs are then read, handled and written one at a time in argument
+order, so a run holds one input's output, not every input's. An input that
+is also the output file is read before opening truncates it. Output is
+UTF-8 whatever the locale. A closed or failing output ends the run with
+`error: cannot write ...` and exit 2; a closed or failing stderr loses its
+lines but not the exit code.
 
 Each subcommand's handler takes (args, content, path), lets a bad input raise
-its `OcdfError`, and returns (exit code, stdout text); `_run_one` is the one
+its `OcdfError`, and returns (exit code, stdout bytes); `_run_one` is the one
 place where a failed input becomes exit code 2 and its stderr lines.
 
 Handlers call the other layers through the package's lazy names: `main`
@@ -49,7 +57,7 @@ _RESET = "\x1b[0m"
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.inputs.count("-") > 1:
-        print("error: standard input ('-') may be given only once", file=sys.stderr)
+        _say("error: standard input ('-') may be given only once\n")
         return 2
     gc_was_enabled = gc.isenabled()
     gc.disable()  # tokens, syntax trees and models hold no reference cycles
@@ -57,24 +65,13 @@ def main(argv: list[str] | None = None) -> int:
         for name in _CALLS[args.subcommand]:  # a binding in place already wins
             globals().setdefault(name, getattr(ocdf, name))
         handler = globals()[f"_run_{args.subcommand}"]  # looked up per run
-        results = [_run_one(handler, args, path) for path in args.inputs]
-        try:
-            out = (contextlib.nullcontext(sys.stdout) if args.output is None
-                   else open(args.output, "w", encoding="utf-8"))
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        with out as stream:
-            for _, text, err in results:
-                stream.write(text)
-                sys.stderr.write(err)
+        return _stream(handler, args)
     except Exception as exc:  # a fault of this program, not of the input
-        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        _say(f"error: internal error: {exc!r}\n")
         return 2
     finally:
         if gc_was_enabled:
             gc.enable()
-    return max(code for code, _, _ in results)
 
 
 def run() -> None:
@@ -126,35 +123,103 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(handler, args: argparse.Namespace, path: str) -> tuple[int, str, str]:
-    """Read one input and run `handler` on it: (exit code, stdout text,
+def _stream(handler, args: argparse.Namespace) -> int:
+    """Open the output, then run `handler` on each input in turn and write
+    its output bytes, then its stderr lines, as soon as it returns. The exit
+    code is the worst of the inputs', or 2 when the output cannot be written;
+    the output then gets nothing more."""
+    name = args.output or "-"
+    early: dict[str, tuple[int, bytes, str]] = {}
+    try:
+        if args.output is None:
+            if sys.stdout is None:  # the process started with descriptor 1 closed
+                raise OSError("standard output is closed")
+            out = contextlib.nullcontext(sys.stdout.buffer)
+        else:
+            # opening the output truncates it, so an input that is the output
+            # runs first; the others are read only when their turn comes
+            early = {path: _run_one(handler, args, path)
+                     for path in args.inputs if _is_output(path, args.output)}
+            out = open(args.output, "wb")
+    except OSError as exc:
+        _say(f"error: cannot write {name}: {exc}\n")
+        return 2
+    code = 0
+    try:
+        with out as stream:
+            for path in args.inputs:
+                input_code, data, err = early.get(path) or _run_one(handler, args, path)
+                code = max(code, input_code)
+                stream.write(data)
+                if err:
+                    stream.flush()  # the input's output goes out before its stderr lines
+                    _say(err)
+            stream.flush()
+    except OSError as exc:  # a full disk, a closed pipe: the environment's fault
+        if args.output is None:
+            _silence(sys.stdout)
+        _say(f"error: cannot write {name}: {exc}\n")
+        return 2
+    return code
+
+
+def _is_output(path: str, output: str) -> bool:
+    """Whether input `path` ('-': standard input) is the file `output`."""
+    try:
+        found = os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path)
+        return os.path.samestat(found, os.stat(output))
+    except (AttributeError, OSError, ValueError):  # no such file, no descriptor
+        return False
+
+
+def _say(text: str) -> None:
+    """Write `text` to stderr. A closed or failing stderr loses the text but
+    never changes the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            _silence(sys.stderr)
+
+
+def _silence(stream) -> None:
+    """Point `stream`'s descriptor at `os.devnull`, so that what it still
+    buffers goes nowhere and the interpreter's flush at exit cannot fail (the
+    Python `signal` documentation, "Note on SIGPIPE")."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _run_one(handler, args: argparse.Namespace, path: str) -> tuple[int, bytes, str]:
+    """Read one input and run `handler` on it: (exit code, stdout bytes,
     stderr text). A failed input exits 2 with one `error: ...` line for a
     read, encoding or class-selection failure, or one `PATH: CODE ...` line
     per diagnostic of a `ModelError` or `MiniOoError`."""
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with descriptor 0 closed
-                return 2, "", "error: cannot read -: standard input is closed\n"
+                return 2, b"", "error: cannot read -: standard input is closed\n"
             content = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
                 content = handle.read()
     except OSError as exc:
-        return 2, "", f"error: cannot read {path}: {exc}\n"
+        return 2, b"", f"error: cannot read {path}: {exc}\n"
     try:
         code, out = handler(args, content, path)
     except UnicodeDecodeError as exc:  # a MiniOO source; documents raise ModelError
-        return 2, "", f"error: {path}: not valid UTF-8: {exc}\n"
+        return 2, b"", f"error: {path}: not valid UTF-8: {exc}\n"
     except ModelError as exc:
-        return 2, "", "".join(f"{path}: {d.render_line()}\n" for d in exc.diagnostics)
+        return 2, b"", "".join(f"{path}: {d.render_line()}\n" for d in exc.diagnostics)
     except MiniOoError as exc:
-        return 2, "", "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
+        return 2, b"", "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
     except OcdfError as exc:
-        return 2, "", f"error: {path}: {exc}\n"
+        return 2, b"", f"error: {path}: {exc}\n"
     return code, out, ""
 
 
-def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
     program = parse(content.decode("utf-8"))
     class_name = args.class_name
     if class_name is None:
@@ -165,19 +230,19 @@ def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
         class_name = program.classes[0].name
     extractor = extract_lazy_inherited if args.lazy else extract
     document = serialize(build_model([extractor(program, class_name)]))
-    return 0, document.decode("utf-8") + "\n"
+    return 0, document + b"\n"
 
 
-def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
     findings = validate(deserialize(content))
     if args.format == "json":
         out = findings_json(findings) + "\n"
     else:
         out = "".join(_style(d.render_line(), _RED, args) + "\n" for d in findings)
-    return (1 if findings else 0), out
+    return (1 if findings else 0), out.encode("utf-8")
 
 
-def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
     analyses = [(cls, substructures(cls), detect_races(cls))
                 for cls in deserialize(content).classes]
     if args.format == "json":
@@ -189,7 +254,7 @@ def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
                                     for pair, n in parts.cut_suggestions]},
             "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
                        "entry_points": h.entry_points} for h in hazards]}
-            for cls, parts, hazards in analyses]) + "\n"
+            for cls, parts, hazards in analyses]).encode("utf-8") + b"\n"
 
     lines: list[str] = []
     for cls, parts, hazards in analyses:
@@ -205,21 +270,22 @@ def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
                 f"(writers: {', '.join(hazard.writers) or '-'}; "
                 f"readers: {', '.join(hazard.readers) or '-'}; "
                 f"entry points: {', '.join(hazard.entry_points) or '-'})", _YELLOW, args))
-    return 0, "".join(line + "\n" for line in lines)
+    return 0, "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, str]:
+def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
     opts = RenderOptions(
         level=AbstractionLevel(args.level),
         show_inherited=not args.no_inherited,
         rankdir=RankDir(args.rankdir.upper()),
     )
-    return 0, render_model_dot(deserialize(content), opts)
+    return 0, render_model_dot(deserialize(content), opts).encode("utf-8")
 
 
 def _style(line: str, color: str, args: argparse.Namespace) -> str:
     """Colour a line bound for a terminal; a file named by --output gets none."""
-    if args.output is not None or os.environ.get("OCDF_NO_COLOR") or not sys.stdout.isatty():
+    if (args.output is not None or os.environ.get("OCDF_NO_COLOR")
+            or sys.stdout is None or not sys.stdout.isatty()):
         return line
     return f"{color}{line}{_RESET}"
 

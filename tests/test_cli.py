@@ -5,14 +5,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from ocdf.cli import main
-from ocdf.model import deserialize, serialize
+from ocdf.model import build_model, deserialize, serialize
 
 from corpus_util import CORPUS_DIR
-from generators import random_valid_model
+from generators import random_valid_class, random_valid_model
 
 
 GOOD_MOO = """
@@ -616,3 +617,75 @@ def test_json_reports_leave_no_more_garbage_than_text(tmp_path, capsys):
                     == garbage(subcommand, *inputs))
     finally:
         gc.enable()
+
+
+def test_an_input_that_is_the_output_is_read_first(tmp_path, capsys):
+    document = tmp_path / "m.json"
+    document.write_text(BAD_MODEL)
+    _, expected, _ = run_cli(capsys, "render", str(document))
+    other = tmp_path / "other.json"
+    other.write_bytes(serialize(random_valid_model(random.Random(1))))
+    _, more, _ = run_cli(capsys, "render", str(other))
+    assert run_cli(capsys, "render", "--output", str(document), str(other), str(document),
+                   str(tmp_path / ".." / tmp_path.name / "m.json")) == (0, "", "")
+    assert document.read_text(encoding="utf-8") == more + expected + expected
+
+
+def test_an_output_that_cannot_be_opened_reads_no_input(tmp_path, capsys, monkeypatch):
+    document = b'{"format_version":1,"classes":[]}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document)))
+    target = tmp_path / "no such dir" / "out.txt"
+    code, out, err = run_cli(capsys, "validate", "--output", str(target),
+                             str(tmp_path / "missing.json"), "-")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert sys.stdin.buffer.read() == document
+
+
+def test_an_internal_error_leaves_the_earlier_output_written(tmp_path, capsys, monkeypatch):
+    document = tmp_path / "m.json"
+    document.write_text(BAD_MODEL)
+    _, expected, _ = run_cli(capsys, "render", str(document))
+    real_render = sys.modules["ocdf.cli"]._run_render
+    calls = []
+
+    def second_fails(args, content, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real_render(args, content, path)
+
+    monkeypatch.setattr("ocdf.cli._run_render", second_fails)
+    target = tmp_path / "out.dot"
+    code, out, err = run_cli(capsys, "render", "--output", str(target), *[str(document)] * 3)
+    assert (code, out, err) == (2, "", "error: internal error: RuntimeError('boom')\n")
+    assert len(calls) == 2
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_render_memory_does_not_grow_with_the_inputs(tmp_path):
+    """Each input's output is written when it is done, so the peak is one
+    input's work, not the sum of every output. The class has at least 20
+    features and flows: CPython keeps freed tuples of fewer items for
+    reuse, and tracemalloc would count those as live."""
+    cls = random_valid_class(random.Random(3), max_features=300)
+    assert min(len(cls.features), len(cls.flows)) >= 20
+    document = serialize(build_model([cls]))
+    paths = []
+    for index in range(40):
+        path = tmp_path / f"doc{index}.json"
+        path.write_bytes(document)
+        paths.append(str(path))
+    target = str(tmp_path / "out.dot")
+    main(["render", "--output", target, paths[0]])  # imports the render stage
+
+    def peak(inputs):
+        tracemalloc.start()
+        try:
+            assert main(["render", "--output", target, *inputs]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(paths[:5]), peak(paths)
+    assert many < 1.5 * few, (few, many)
