@@ -14,12 +14,11 @@ Three views, all pure:
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count, repeat
 from operator import itemgetter
 
-from .diagnostics import TokenEnum
+from .diagnostics import TokenEnum, _Node
 from .model import CONTROL, DATA, INTERFACE_METHOD, MEMBER, Flow, OcdfClass, _roles
 
 
@@ -47,15 +46,13 @@ def project(cls: OcdfClass, level: AbstractionLevel) -> OcdfClass:
                      flows=tuple(f for f in cls.flows if keep(f)))
 
 
-@dataclass(frozen=True, slots=True)
-class SubstructureReport:
+class SubstructureReport(_Node, namedtuple("SubstructureReport", "components cut_suggestions")):
     """components partition the feature ids; every flow stays inside one
     component. cut_suggestions pairs components whose feature names share
     leading name tokens (advisory: nominally related pieces that the flow
     graph keeps apart), strongest affinity first."""
 
-    components: tuple[tuple[str, ...], ...]
-    cut_suggestions: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ()
 
 
 def substructures(cls: OcdfClass) -> SubstructureReport:
@@ -125,15 +122,11 @@ def _name_token(name: str) -> str:
     return name.lower()
 
 
-@dataclass(frozen=True, slots=True)
-class RaceHazard:
+class RaceHazard(_Node, namedtuple("RaceHazard", "member writers readers entry_points")):
     """A non-const member with conflicting accessors reachable from distinct
     entry points. writers excludes constructors; readers does not."""
 
-    member: str
-    writers: tuple[str, ...]
-    readers: tuple[str, ...]
-    entry_points: tuple[str, ...]
+    __slots__ = ()
 
 
 def detect_races(cls: OcdfClass) -> list[RaceHazard]:

@@ -1,12 +1,14 @@
 """Diagnostic codes, records, the exceptions that carry them, and the JSON report writer.
 
 Every code maps to exactly one rule, worded once in the validator's rule
-table.
+table. Records throughout the package are named tuples with `_Node`'s
+equality rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from collections import namedtuple
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -39,19 +41,28 @@ class Code(TokenEnum):
     E_INHERIT_CYCLE = "E_INHERIT_CYCLE"
 
 
-@dataclass(frozen=True, slots=True)
-class Subject:
+class _Node:
+    """Mixin for the named-tuple records: equality also compares the type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Subject(_Node, namedtuple("Subject", "class_name ids", defaults=((),))):
     """What a diagnostic is about: a class and the feature/flow ids involved."""
 
-    class_name: str
-    ids: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    code: Code
-    message: str
-    subjects: tuple[Subject, ...] = ()
+class Diagnostic(_Node, namedtuple("Diagnostic", "code message subjects", defaults=((),))):
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         first = self.subjects[0].class_name if self.subjects else ""
@@ -65,7 +76,17 @@ class Diagnostic:
             ids = [i for s in self.subjects for i in s.ids]
             if ids:
                 parts.append(f"subjects={','.join(ids)}")
-        return f"{' '.join(parts)}: {self.message}"
+        return _one_line(f"{' '.join(parts)}: {self.message}")
+
+
+# The characters str.splitlines() breaks a line at.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _one_line(text: str) -> str:
+    """`text` with each line break written as its repr escape, so that a name
+    holding one cannot split a diagnostic across lines."""
+    return _LINE_BREAK.sub(lambda m: repr(m[0])[1:-1], text)
 
 
 def findings_json(findings: Iterable[Diagnostic]) -> str:
@@ -99,38 +120,34 @@ def indented_json(value, margin: str = "") -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + margin + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceError:
+class SourceError(_Node, namedtuple("SourceError", "code message line column")):
     """An error anchored to a source position (parsing or extraction)."""
 
-    code: Code
-    message: str
-    line: int
-    column: int
+    __slots__ = ()
 
     def render_line(self) -> str:
-        return f"{self.code.value} {self.line}:{self.column}: {self.message}"
+        return _one_line(f"{self.code.value} {self.line}:{self.column}: {self.message}")
 
 
 class OcdfError(Exception):
     """Base class for all failures raised by this package."""
 
 
-@dataclass
 class ModelError(OcdfError):
     """Raised when a model cannot be built or loaded; carries all findings."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, diagnostics: list[Diagnostic] | None = None) -> None:
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def __str__(self) -> str:
         return "; ".join(d.render_line() for d in self.diagnostics) or "invalid model"
 
 
-@dataclass
 class MiniOoError(OcdfError):
     """Raised when MiniOO source fails to parse or resolve."""
 
-    errors: list[SourceError] = field(default_factory=list)
+    def __init__(self, errors: list[SourceError] | None = None) -> None:
+        self.errors = [] if errors is None else errors
 
     def __str__(self) -> str:
         return "; ".join(e.render_line() for e in self.errors) or "invalid source"

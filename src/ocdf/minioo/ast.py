@@ -1,26 +1,15 @@
 """MiniOO syntax tree. Every node carries the source span of its first token.
 
-Nodes are named tuples, which cost a fraction of a dataclass to create.
-Equality also compares the node type, so ``IntLit(s, 1) != StrLit(s, 1)``.
+Nodes are named tuples, like the package's other records. Through the
+``diagnostics._Node`` mixin, equality also compares the node type, so
+``IntLit(s, 1) != StrLit(s, 1)``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-
-class _Node:
-    """Mixin for the named-tuple nodes: equality also compares the type."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
+from ..diagnostics import _Node
 
 
 class Span(_Node, namedtuple("Span", "line column")):

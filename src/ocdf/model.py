@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
-from .diagnostics import Code, Diagnostic, ModelError, Subject, TokenEnum
+from .diagnostics import Code, Diagnostic, ModelError, Subject, TokenEnum, _Node
 
 FORMAT_VERSION = 1
 
@@ -59,8 +58,9 @@ PUBLIC = Visibility.PUBLIC
 METHOD_KINDS = frozenset({METHOD, INTERFACE_METHOD})
 
 
-@dataclass(frozen=True, slots=True)
-class Feature:
+class Feature(_Node, namedtuple(
+        "Feature", "id kind name decl visibility is_static is_const is_constructor inherited",
+        defaults=("", Visibility.PRIVATE, False, False, False, False))):
     """A node of the class graph.
 
     ``decl`` holds the type annotation for members and the signature text for
@@ -68,48 +68,32 @@ class Feature:
     only for method kinds; the other flag is carried but ignored.
     """
 
-    id: str
-    kind: FeatureKind
-    name: str
-    decl: str = ""
-    visibility: Visibility = Visibility.PRIVATE
-    is_static: bool = False
-    is_const: bool = False
-    is_constructor: bool = False
-    inherited: bool = False
+    __slots__ = ()
 
     @property
     def is_method_kind(self) -> bool:
         return self.kind in METHOD_KINDS
 
 
-@dataclass(frozen=True, slots=True)
-class Flow:
+class Flow(_Node, namedtuple("Flow", "kind source target label", defaults=(None,))):
     """A directed edge: control is caller->callee, data is provider->consumer."""
 
-    kind: FlowKind
-    source: str
-    target: str
-    label: str | None = None
+    __slots__ = ()
 
     def key(self) -> tuple[FlowKind, str, str]:
         """Identity triple; flows within a class have set semantics over it."""
         return (self.kind, self.source, self.target)
 
 
-@dataclass(frozen=True, slots=True)
-class OcdfClass:
-    name: str
-    features: tuple[Feature, ...] = ()
-    flows: tuple[Flow, ...] = ()
+class OcdfClass(_Node, namedtuple("OcdfClass", "name features flows", defaults=((), ()))):
+    __slots__ = ()
 
     def feature_map(self) -> dict[str, Feature]:
         return {f.id: f for f in self.features}
 
 
-@dataclass(frozen=True, slots=True)
-class OcdfModel:
-    classes: tuple[OcdfClass, ...] = ()
+class OcdfModel(_Node, namedtuple("OcdfModel", "classes", defaults=((),))):
+    __slots__ = ()
 
 
 def build_class(name: str, features: Iterable[Feature], flows: Iterable[Flow]) -> OcdfClass:
@@ -444,18 +428,11 @@ _FLOW_KINDS = FlowKind._value2member_map_
 
 # The bulk path: a class whose records all hold every required field, each
 # field of the right type, loads one field at a time across all records, in
-# C-level loops; an absent optional field reads as its default. Records are
-# built without the generated __init__ (which sets each field through
-# object.__setattr__): object.__new__, then each field's slot descriptor.
-_FEATURE_FIELDS = ("id", "kind", "name", "decl", "visibility", *_FLAG_KEYS)
-_FLOW_FIELDS = ("kind", "source", "target", "label")
+# C-level loops; an absent optional field reads as its default.
 _OPTIONAL = {**dict.fromkeys(_FLAG_KEYS, False), "label": None}  # field -> its default
-_FEATURE_SLOTS = tuple(getattr(Feature, f).__set__ for f in _FEATURE_FIELDS)
-_FLOW_SLOTS = tuple(getattr(Flow, f).__set__ for f in _FLOW_FIELDS)
 _STR = {str}
 _LABEL_TYPES = {str, type(None)}
 _BOOL = {bool}
-_consume = deque(maxlen=0).extend
 
 
 def _bulk_class(raw: dict) -> tuple[tuple[Feature, ...], tuple[Flow, ...]] | None:
@@ -465,20 +442,21 @@ def _bulk_class(raw: dict) -> tuple[tuple[Feature, ...], tuple[Flow, ...]] | Non
     if type(features) is not list or type(flows) is not list:
         return None
     try:
-        ids, kinds, names, decls, visibilities, *flags = _columns(_FEATURE_FIELDS, features)
+        ids, kinds, names, decls, visibilities, *flags = _columns(Feature._fields, features)
         kinds, visibilities = _tokens(_FEATURE_KINDS, kinds), _tokens(_VISIBILITIES, visibilities)
         if not ({*map(type, chain(ids, names, decls))} <= _STR and "" not in ids
                 and {*map(type, chain(*flags))} <= _BOOL):
             return None
-        flow_kinds, sources, targets, labels = _columns(_FLOW_FIELDS, flows)
+        flow_kinds, sources, targets, labels = _columns(Flow._fields, flows)
         flow_kinds = _tokens(_FLOW_KINDS, flow_kinds)
         if not ({*map(type, chain(sources, targets))} <= _STR
                 and {*map(type, labels)} <= _LABEL_TYPES):
             return None
     except (KeyError, TypeError):  # a missing field, a record or token of the wrong type
         return None
-    return (_build(Feature, _FEATURE_SLOTS, (ids, kinds, names, decls, visibilities, *flags)),
-            _build(Flow, _FLOW_SLOTS, (flow_kinds, sources, targets, labels)))
+    return (tuple(map(tuple.__new__, repeat(Feature),
+                      zip(ids, kinds, names, decls, visibilities, *flags))),
+            tuple(map(tuple.__new__, repeat(Flow), zip(flow_kinds, sources, targets, labels))))
 
 
 def _columns(fields: tuple[str, ...], records: list) -> list[tuple]:
@@ -492,9 +470,3 @@ def _columns(fields: tuple[str, ...], records: list) -> list[tuple]:
 def _tokens(table: dict, tokens: tuple) -> tuple:
     return tuple(map(table.__getitem__, tokens))
 
-
-def _build(cls: type, slots: tuple, columns: tuple) -> tuple:
-    records = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
-    for set_slot, column in zip(slots, columns):
-        _consume(map(set_slot, records, column))
-    return records

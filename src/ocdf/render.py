@@ -14,11 +14,11 @@ edges in model order.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .analysis import AbstractionLevel, project
-from .diagnostics import TokenEnum
+from .diagnostics import TokenEnum, _Node
 from .model import CONTROL, INTERFACE_METHOD, MEMBER, Feature, OcdfClass, OcdfModel, Visibility
 
 
@@ -29,11 +29,9 @@ class RankDir(TokenEnum):
     LEFT_RIGHT = "LR"
 
 
-@dataclass(frozen=True, slots=True)
-class RenderOptions:
-    level: AbstractionLevel = AbstractionLevel.L3
-    show_inherited: bool = True
-    rankdir: RankDir = RankDir.TOP_DOWN
+class RenderOptions(_Node, namedtuple("RenderOptions", "level show_inherited rankdir",
+                                      defaults=(AbstractionLevel.L3, True, RankDir.TOP_DOWN))):
+    __slots__ = ()
 
 
 _VIS_SYMBOL = {Visibility.PUBLIC: "+", Visibility.PROTECTED: "#", Visibility.PRIVATE: "-"}

@@ -8,7 +8,6 @@ import io
 import random
 import sys
 import time
-from dataclasses import replace
 
 from ocdf.analysis import AbstractionLevel, detect_races, project, substructures
 from ocdf.cli import main
@@ -218,7 +217,7 @@ def test_criterion_6_race_heuristic():
     for cls in candidates:
         frozen = OcdfClass(
             cls.name,
-            tuple(replace(f, is_const=True) if f.kind is FeatureKind.MEMBER else f
+            tuple(f._replace(is_const=True) if f.kind is FeatureKind.MEMBER else f
                   for f in cls.features),
             cls.flows,
         )

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,7 +239,7 @@ def test_all_const_members_yield_no_hazards():
         cls = random_valid_class(rng)
         frozen = OcdfClass(
             cls.name,
-            tuple(replace(f, is_const=True) if f.kind is FeatureKind.MEMBER else f
+            tuple(f._replace(is_const=True) if f.kind is FeatureKind.MEMBER else f
                   for f in cls.features),
             cls.flows,
         )
@@ -338,7 +337,7 @@ def test_substructures_skip_flows_with_a_dangling_endpoint():
     ids = {f.id for f in cls.features}
     kept = tuple(f for f in cls.flows if f.source in ids and f.target in ids)
     report = substructures(cls)
-    assert report == reference_substructures(replace(cls, flows=kept))
+    assert report == reference_substructures(cls._replace(flows=kept))
     assert report.components == (("A",), ("B", "f", "x"))
 
 

@@ -8,8 +8,10 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocdf.cli import main
+from ocdf.diagnostics import Code, Diagnostic, SourceError, Subject
 from ocdf.model import build_model, deserialize, serialize
 
 from corpus_util import CORPUS_DIR
@@ -87,6 +89,45 @@ def test_unknown_class_is_reported_by_extract(capsys):
     code, out, err = run_cli(capsys, "extract", "--class", "Ghost", str(path))
     assert (code, out) == (2, "")
     assert err == f"{path}: E_NO_CLASS 1:1: no class named 'Ghost' in the source\n"
+
+
+def test_a_line_break_in_the_class_name_stays_on_the_error_line(capsys):
+    path = CORPUS_DIR / "counter.moo"
+    code, out, err = run_cli(capsys, "extract", "--class", "A\nB", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}: E_NO_CLASS 1:1: no class named 'A\\nB' in the source\n"
+
+
+def test_line_breaks_in_names_stay_on_the_diagnostic_line(tmp_path, capsys):
+    document = tmp_path / "breaks.json"
+    document.write_text(json.dumps({"format_version": 1, "classes": [{
+        "name": "C\nD",
+        "features": [{"id": "a\nb", "kind": "bogus", "name": "x", "decl": "int",
+                      "visibility": "private"}],
+        "flows": []}]}))
+    code, out, err = run_cli(capsys, "validate", str(document))
+    assert (code, out) == (2, "")
+    assert err == (f"{document}: E_BAD_ENUM class=C\\nD subjects=a\\nb: "
+                   "a\\nb: unknown kind token 'bogus'\n")
+
+
+# Every character str.splitlines() breaks a line at, and any other character.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+NAME_TEXT = st.text(st.sampled_from(LINE_BREAKS) | st.characters())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(NAME_TEXT, st.lists(NAME_TEXT, max_size=3), NAME_TEXT)
+def test_a_diagnostic_renders_as_one_line_whatever_its_names(class_name, ids, message):
+    subjects = f" subjects={','.join(ids)}" if ids else ""
+    diagnostic = Diagnostic(Code.E_BAD_ENUM, message, (Subject(class_name, tuple(ids)),))
+    error = SourceError(Code.E_NO_CLASS, message, 1, 2)
+    for line, plain in [(diagnostic.render_line(),
+                         f"E_BAD_ENUM class={class_name}{subjects}: {message}"),
+                        (error.render_line(), f"E_NO_CLASS 1:2: {message}")]:
+        assert len(line.splitlines()) == 1
+        if len(f".{plain}.".splitlines()) == 1:  # no line break: the text as it is
+            assert line == plain
 
 
 def test_repeated_class_is_one_duplicate_error(tmp_path, capsys):
@@ -501,6 +542,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, capsys, subcommand)
                           "assert code in (0, 1), code")
     assert {name.partition(".")[0] for name in loaded} - {"ocdf"} <= sys.stdlib_module_names
     assert "ocdf.model" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast"}  # the standard library's ast
     assert not {n for n in loaded for unused in UNUSED_MODULES[subcommand]
                 if n == unused or n.startswith(unused + ".")}
 

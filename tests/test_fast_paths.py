@@ -4,7 +4,6 @@ JSON writer (`indented_json`) and the reports `validate` and `analyze
 --format json` print with it, and the loader's bulk path on documents that
 omit optional fields."""
 
-import dataclasses
 import json
 import random
 
@@ -84,12 +83,12 @@ def _ill_typed_models():
     flow = Flow(FlowKind.DATA, "f", "f")
     for field, values in ILL_TYPED.items():
         for value in values:
-            yield OcdfModel((OcdfClass("C", (dataclasses.replace(feature, **{field: value}),),
+            yield OcdfModel((OcdfClass("C", (feature._replace(**{field: value}),),
                                        (flow,)),))
     for field, values in FLOW_ILL_TYPED.items():
         for value in values:
             yield OcdfModel((OcdfClass("C", (feature,),
-                                       (dataclasses.replace(flow, **{field: value}),)),))
+                                       (flow._replace(**{field: value}),)),))
     for name in (None, 7):
         yield OcdfModel((OcdfClass(name, (feature,), (flow,)),))
 
@@ -148,9 +147,9 @@ def _escaped_names(model: OcdfModel) -> OcdfModel:
     tail = 'é变\U0001f600"\\\n\x01'
     return build_model([
         build_class(cls.name + tail,
-                    [dataclasses.replace(f, id=f.id + tail, name=f.name + tail)
+                    [f._replace(id=f.id + tail, name=f.name + tail)
                      for f in cls.features],
-                    [dataclasses.replace(f, source=f.source + tail, target=f.target + tail)
+                    [f._replace(source=f.source + tail, target=f.target + tail)
                      for f in cls.flows])
         for cls in model.classes])
 

@@ -2,15 +2,18 @@
 `oracles.py`: on generated documents and on one-field mutations of them,
 both must load an equal model or raise an equal list of diagnostics."""
 
-import dataclasses
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocdf.diagnostics import ModelError
-from ocdf.model import Feature, Flow, deserialize, serialize
+from ocdf import model
+from ocdf.analysis import RaceHazard, SubstructureReport
+from ocdf.diagnostics import Code, Diagnostic, MiniOoError, ModelError, SourceError, Subject
+from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, Visibility, deserialize,
+                        serialize)
 
 from generators import random_valid_model
 from oracles import reference_deserialize
@@ -100,14 +103,52 @@ def test_loader_cases_load_alike(case):
     assert_same_load(LOADER_CASES[case])
 
 
-def test_loaded_records_stay_frozen_dataclasses():
-    doc = next(d for d in map(document, range(100))
-               if any(c["features"] and c["flows"] for c in d["classes"]))
-    cls = next(c for c in deserialize(json.dumps(doc)).classes if c.features and c.flows)
-    feature, flow = cls.features[0], cls.flows[0]
+@pytest.mark.parametrize("first_id, bulk", [("x", True), ("", False)],
+                         ids=["bulk", "per-record"])
+def test_loaded_records_are_named_tuples(monkeypatch, first_id, bulk):
+    """Both loader paths build the same records. A regular document takes
+    the bulk path; a feature with an empty id sends its class through the
+    per-record path, which names that feature `<features[0]>`."""
+    paths = []
+    bulk_class = model._bulk_class
+
+    def spy(raw):
+        records = bulk_class(raw)
+        paths.append(records is not None)
+        return records
+
+    monkeypatch.setattr(model, "_bulk_class", spy)
+    doc = {"format_version": 1, "classes": [{"name": "C", "features": [
+        {"id": first_id, "kind": "member", "name": "x", "decl": "int", "visibility": "private"},
+        {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "public"}],
+        "flows": [{"kind": "data", "source": "f", "target": "f"}]}]}
+    cls = deserialize(json.dumps(doc)).classes[0]
+    assert paths == [bulk]
+    feature, flow = cls.features[1], cls.flows[0]
     assert (type(feature), type(flow)) == (Feature, Flow)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert feature == Feature("f", FeatureKind.METHOD, "f", "f()", Visibility.PUBLIC)
+    assert flow == Flow(FlowKind.DATA, "f", "f") == Flow(*flow)
+    with pytest.raises(AttributeError):
         feature.name = "other"
-    assert dataclasses.replace(feature, name="other").name == "other"
-    assert dataclasses.replace(flow, label="x") == Flow(flow.kind, flow.source, flow.target, "x")
-    assert hash(feature) == hash(dataclasses.replace(feature))
+    with pytest.raises(AttributeError):
+        flow.label = "x"
+    assert feature._replace(name="other").name == "other"
+    assert flow._replace(label="x") == Flow(flow.kind, flow.source, flow.target, "x")
+    assert hash(feature) == hash(feature._replace()) == hash(tuple(feature))
+    assert hash(flow) == hash(Flow(*flow))
+    # equality compares the type: not a plain tuple, nor another record with these fields
+    assert flow != tuple(flow) and not flow == tuple(flow)
+    assert flow != RaceHazard(*flow) and not RaceHazard(*flow) == flow
+    assert Subject("C") != SubstructureReport("C", ())
+
+
+@pytest.mark.parametrize("error, field", [
+    (ModelError([Diagnostic(Code.E_DUP_ID, "m", (Subject("C", ("a",)),))]), "diagnostics"),
+    (MiniOoError([SourceError(Code.E_PARSE, "m", 1, 2)]), "errors"),
+], ids=["ModelError", "MiniOoError"])
+def test_load_errors_are_hashable_and_survive_a_pickle(error, field):
+    assert error in {error}
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert getattr(copy, field) == getattr(error, field)
+    assert (copy.args, str(copy)) == (error.args, str(error))

@@ -12,7 +12,6 @@ lexer must also treat a source and its folded form alike.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -57,7 +56,7 @@ def _lex(source):
     """The new lexer's tokens or errors, with texts and messages folded."""
     tokens, errors = _outcome(tokenize, source)
     if errors is not None:
-        return None, [replace(e, message=_fold(e.message)) for e in errors]
+        return None, [e._replace(message=_fold(e.message)) for e in errors]
     return [(kind, _fold(text), line, column) for kind, text, line, column in tokens], None
 
 
