@@ -11,15 +11,22 @@ collection at exit.
 
 The output (standard output's bytes, or the `--output` file) is opened
 first. Inputs are then read, handled and written one at a time in argument
-order, so a run holds one input's output, not every input's. An input that
+order, so a run holds one input's work, not every input's. An input that
 is also the output file is read before opening truncates it. Output is
 UTF-8 whatever the locale. A closed or failing output ends the run with
 `error: cannot write ...` and exit 2; a closed or failing stderr loses its
 lines but not the exit code.
 
 Each subcommand's handler takes (args, content, path), lets a bad input raise
-its `OcdfError`, and returns (exit code, stdout bytes); `_run_one` is the one
-place where a failed input becomes exit code 2 and its stderr lines.
+its `OcdfError`, and returns (exit code, chunks): an iterable of the bytes of
+its output, which `_stream` writes one chunk at a time. Decoding, loading,
+the analyses and serializing run inside the handler, so that `_run_one`
+stays the one place where a failed input becomes exit code 2 and its stderr
+lines; only the formatting of records already computed runs as the chunks
+are drawn. A run thus holds one input's model plus one chunk of its output
+(`_CHUNK` characters), not copies of the whole output. A failed input
+returns no chunks. An exception raised while the chunks are drawn is an
+internal error, and may leave that input's output partly written.
 
 Handlers call the other layers through the package's lazy names: `main`
 binds those of its subcommand (`_CALLS`) from `ocdf` as globals of this
@@ -35,10 +42,12 @@ import contextlib
 import gc
 import os
 import sys
+from typing import Iterable, Iterator
 
 import ocdf
 
-from .diagnostics import MiniOoError, ModelError, OcdfError, findings_json, indented_json
+from .diagnostics import (MiniOoError, ModelError, OcdfError, _one_line, findings_json,
+                          indented_json)
 
 # Subcommand -> the names of `ocdf.__all__` its handler calls.
 _CALLS = {
@@ -49,6 +58,7 @@ _CALLS = {
                "render_model_dot"),
 }
 
+_CHUNK = 1 << 16  # characters of text formatted and encoded at a time
 _RED = "\x1b[31m"
 _YELLOW = "\x1b[33m"
 _RESET = "\x1b[0m"
@@ -125,11 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _stream(handler, args: argparse.Namespace) -> int:
     """Open the output, then run `handler` on each input in turn and write
-    its output bytes, then its stderr lines, as soon as it returns. The exit
+    its output chunks, then its stderr lines, as soon as it returns. The exit
     code is the worst of the inputs', or 2 when the output cannot be written;
     the output then gets nothing more."""
     name = args.output or "-"
-    early: dict[str, tuple[int, bytes, str]] = {}
+    early: dict[str, tuple[int, Iterable[bytes], str]] = {}
     try:
         if args.output is None:
             if sys.stdout is None:  # the process started with descriptor 1 closed
@@ -148,9 +158,10 @@ def _stream(handler, args: argparse.Namespace) -> int:
     try:
         with out as stream:
             for path in args.inputs:
-                input_code, data, err = early.get(path) or _run_one(handler, args, path)
+                input_code, chunks, err = early.get(path) or _run_one(handler, args, path)
                 code = max(code, input_code)
-                stream.write(data)
+                for chunk in chunks:
+                    stream.write(chunk)
                 if err:
                     stream.flush()  # the input's output goes out before its stderr lines
                     _say(err)
@@ -191,35 +202,39 @@ def _silence(stream) -> None:
     os.close(devnull)
 
 
-def _run_one(handler, args: argparse.Namespace, path: str) -> tuple[int, bytes, str]:
-    """Read one input and run `handler` on it: (exit code, stdout bytes,
-    stderr text). A failed input exits 2 with one `error: ...` line for a
-    read, encoding or class-selection failure, or one `PATH: CODE ...` line
-    per diagnostic of a `ModelError` or `MiniOoError`."""
+def _run_one(handler, args: argparse.Namespace,
+             path: str) -> tuple[int, Iterable[bytes], str]:
+    """Read one input and run `handler` on it: (exit code, stdout chunks,
+    stderr text). A failed input exits 2, writes nothing to stdout, and
+    gets one `error: ...` line for a read, encoding or class-selection
+    failure, or one `PATH: CODE ...` line per diagnostic of a `ModelError`
+    or `MiniOoError`. The path is written as one line (`_one_line`)."""
+    where = _one_line(path)
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with descriptor 0 closed
-                return 2, b"", "error: cannot read -: standard input is closed\n"
+                return 2, (), "error: cannot read -: standard input is closed\n"
             content = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
                 content = handle.read()
     except OSError as exc:
-        return 2, b"", f"error: cannot read {path}: {exc}\n"
+        return 2, (), f"error: cannot read {where}: {exc}\n"
     try:
-        code, out = handler(args, content, path)
+        code, chunks = handler(args, content, path)
     except UnicodeDecodeError as exc:  # a MiniOO source; documents raise ModelError
-        return 2, b"", f"error: {path}: not valid UTF-8: {exc}\n"
+        return 2, (), f"error: {where}: not valid UTF-8: {exc}\n"
     except ModelError as exc:
-        return 2, b"", "".join(f"{path}: {d.render_line()}\n" for d in exc.diagnostics)
+        return 2, (), "".join(f"{where}: {d.render_line()}\n" for d in exc.diagnostics)
     except MiniOoError as exc:
-        return 2, b"", "".join(f"{path}: {e.render_line()}\n" for e in exc.errors)
+        return 2, (), "".join(f"{where}: {e.render_line()}\n" for e in exc.errors)
     except OcdfError as exc:
-        return 2, b"", f"error: {path}: {exc}\n"
-    return code, out, ""
+        return 2, (), f"error: {where}: {exc}\n"
+    return code, chunks, ""
 
 
-def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
+def _run_extract(args: argparse.Namespace, content: bytes,
+                 path: str) -> tuple[int, Iterable[bytes]]:
     program = parse(content.decode("utf-8"))
     class_name = args.class_name
     if class_name is None:
@@ -229,65 +244,106 @@ def _run_extract(args: argparse.Namespace, content: bytes, path: str) -> tuple[i
             raise OcdfError(f"declares {len(program.classes)} classes; use --class to pick one")
         class_name = program.classes[0].name
     extractor = extract_lazy_inherited if args.lazy else extract
-    document = serialize(build_model([extractor(program, class_name)]))
-    return 0, document + b"\n"
+    model = build_model([extractor(program, class_name)])
+    del program  # the syntax tree's memory goes back before the document is written
+    return 0, (serialize(model), b"\n")
 
 
-def _run_validate(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
+def _run_validate(args: argparse.Namespace, content: bytes,
+                  path: str) -> tuple[int, Iterable[bytes]]:
     findings = validate(deserialize(content))
+    code = 1 if findings else 0
     if args.format == "json":
-        out = findings_json(findings) + "\n"
-    else:
-        out = "".join(_style(d.render_line(), _RED, args) + "\n" for d in findings)
-    return (1 if findings else 0), out.encode("utf-8")
+        return code, ((findings_json(findings) + "\n").encode("utf-8"),)
+    color = _color(_RED, args)
+    return code, _lines(color % d.render_line() for d in findings)
 
 
-def _run_analyze(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
+def _run_analyze(args: argparse.Namespace, content: bytes,
+                 path: str) -> tuple[int, Iterable[bytes]]:
     analyses = [(cls, substructures(cls), detect_races(cls))
                 for cls in deserialize(content).classes]
     if args.format == "json":
-        return 0, indented_json([{
+        return 0, _analysis_json(analyses)
+    return 0, _lines(_analysis_lines(analyses, _color(_YELLOW, args)))
+
+
+def _analysis_json(analyses: list) -> Iterator[bytes]:
+    """The JSON report, one class at a time: the bytes of
+    `indented_json(classes) + "\\n"`."""
+    if not analyses:
+        yield b"[]\n"
+        return
+    separator = "[\n  "
+    for cls, parts, hazards in analyses:
+        yield (separator + indented_json({
             "name": cls.name,
             "substructures": {
                 "components": parts.components,
                 "cut_suggestions": [{"components": pair, "shared_prefix_count": n}
                                     for pair, n in parts.cut_suggestions]},
             "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
-                       "entry_points": h.entry_points} for h in hazards]}
-            for cls, parts, hazards in analyses]).encode("utf-8") + b"\n"
+                       "entry_points": h.entry_points} for h in hazards]},
+            "  ")).encode("utf-8")
+        separator = ",\n  "
+    yield b"\n]\n"
 
-    lines: list[str] = []
+
+def _analysis_lines(analyses: list, warning: str) -> Iterator[str]:
+    """The text report's lines; `warning` is the %-format of a race line."""
     for cls, parts, hazards in analyses:
-        lines.append(f"class {cls.name}")
+        yield f"class {cls.name}"
         for component in parts.components:
-            lines.append(f"  component: {' '.join(component)}")
+            yield f"  component: {' '.join(component)}"
         for (a, b), count in parts.cut_suggestions:
-            lines.append(f"  related components {a} and {b}: "
-                         f"{count} shared name token pair(s)")
+            yield f"  related components {a} and {b}: {count} shared name token pair(s)"
         for hazard in hazards:
-            lines.append(_style(
+            yield warning % (
                 f"  warning: possible race on '{hazard.member}' "
                 f"(writers: {', '.join(hazard.writers) or '-'}; "
                 f"readers: {', '.join(hazard.readers) or '-'}; "
-                f"entry points: {', '.join(hazard.entry_points) or '-'})", _YELLOW, args))
-    return 0, "".join(line + "\n" for line in lines).encode("utf-8")
+                f"entry points: {', '.join(hazard.entry_points) or '-'})")
 
 
-def _run_render(args: argparse.Namespace, content: bytes, path: str) -> tuple[int, bytes]:
+def _run_render(args: argparse.Namespace, content: bytes,
+                path: str) -> tuple[int, Iterable[bytes]]:
     opts = RenderOptions(
         level=AbstractionLevel(args.level),
         show_inherited=not args.no_inherited,
         rankdir=RankDir(args.rankdir.upper()),
     )
-    return 0, render_model_dot(deserialize(content), opts).encode("utf-8")
+    return 0, _utf8(render_model_dot(deserialize(content), opts))
 
 
-def _style(line: str, color: str, args: argparse.Namespace) -> str:
-    """Colour a line bound for a terminal; a file named by --output gets none."""
+def _lines(lines: Iterable[str]) -> Iterator[bytes]:
+    """`lines`, each written as one line (`_one_line`) and ended with a
+    newline, as UTF-8 chunks of about `_CHUNK` characters."""
+    batch: list[str] = []
+    size = 0
+    for line in lines:
+        batch.append(_one_line(line))
+        size += len(line)
+        if size >= _CHUNK:
+            yield ("\n".join(batch) + "\n").encode("utf-8")
+            batch.clear()
+            size = 0
+    if batch:
+        yield ("\n".join(batch) + "\n").encode("utf-8")
+
+
+def _utf8(text: str) -> Iterator[bytes]:
+    """`text` as UTF-8, `_CHUNK` characters at a time."""
+    for start in range(0, len(text), _CHUNK):
+        yield text[start:start + _CHUNK].encode("utf-8")
+
+
+def _color(color: str, args: argparse.Namespace) -> str:
+    """The %-format of a line bound for a terminal, in `color`; a file named
+    by --output gets no colour."""
     if (args.output is not None or os.environ.get("OCDF_NO_COLOR")
             or sys.stdout is None or not sys.stdout.isatty()):
-        return line
-    return f"{color}{line}{_RESET}"
+        return "%s"
+    return f"{color}%s{_RESET}"
 
 
 if __name__ == "__main__":

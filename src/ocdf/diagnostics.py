@@ -86,6 +86,8 @@ _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 def _one_line(text: str) -> str:
     """`text` with each line break written as its repr escape, so that a name
     holding one cannot split a diagnostic across lines."""
+    if text.splitlines() == [text]:  # no line break: one C-level scan, no copy
+        return text
     return _LINE_BREAK.sub(lambda m: repr(m[0])[1:-1], text)
 
 

@@ -4,9 +4,10 @@ Tokens: identifiers, integer and string literals, punctuation, and the
 reserved words listed in KEYWORDS. `//` comments run to end of line.
 
 A token is a plain ``(kind, text, line, column)`` tuple; a string literal's
-text is its value with escapes resolved. The source is scanned with one
-alternation of named patterns, tried in order at each position, and lines
-and columns are counted from the offsets of newlines.
+text is its value with escapes resolved. Within one `tokenize` call, the
+tokens of an identifier or keyword share one text object. The source is
+scanned with one alternation of named patterns, tried in order at each
+position, and lines and columns are counted from the offsets of newlines.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ def tokenize(source: str) -> list[Token]:
     and unterminated string."""
     tokens: list[Token] = []
     append = tokens.append
+    # text -> its first str object, so a name's tokens hold one copy of it;
+    # a memo of this call's, not sys.intern's process-wide table
+    shared = {}.setdefault
     errors: list[SourceError] = []
     line, line_start = 1, 0  # line_start: offset of the current line's first character
     for m in _TOKEN_RE.finditer(source):
@@ -81,13 +85,14 @@ def tokenize(source: str) -> list[Token]:
             continue
         start = m.start()
         if kind == "ident":
+            text = shared(text, text)
             append((KEYWORD if text in KEYWORDS else IDENT, text, line, start - line_start + 1))
         elif kind == "punct":
             append((PUNCT, text, line, start - line_start + 1))
         elif kind == "int":
             append((INT, text, line, start - line_start + 1))
         elif kind == "word":
-            _word(text, start, line, line_start, tokens, errors)
+            _word(text, start, line, line_start, tokens, errors, shared)
         elif kind == "other":
             errors.append(SourceError(Code.E_PARSE, f"unexpected character {text!r}",
                                       line, start - line_start + 1))
@@ -111,7 +116,7 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _word(text: str, start: int, line: int, line_start: int,
-          tokens: list[Token], errors: list[SourceError]) -> None:
+          tokens: list[Token], errors: list[SourceError], shared) -> None:
     """Lex a run of \\w characters that does not start like an identifier.
     Leading characters that start nothing are errors; an ASCII digit starts
     an integer, and an identifier start takes the rest of the run."""
@@ -120,8 +125,9 @@ def _word(text: str, start: int, line: int, line_start: int,
         ch = text[i]
         column = start + i - line_start + 1
         if ch.isalpha() or ch == "_":
-            kind = KEYWORD if text[i:] in KEYWORDS else IDENT
-            tokens.append((kind, text[i:], line, column))
+            name = text[i:]
+            name = shared(name, name)
+            tokens.append((KEYWORD if name in KEYWORDS else IDENT, name, line, column))
             return
         digits = _INT_RE.match(text, i)
         if digits:

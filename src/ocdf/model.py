@@ -13,10 +13,11 @@ documents can still be loaded and checked.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import namedtuple
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
@@ -207,9 +208,9 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
 
 _FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
 _FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
-_CLASS_JSON = '{"name":%s,"features":[%s],"flows":[%s]}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 _FLAGS = attrgetter(*_FLAG_KEYS)
+_NAME_DECL = attrgetter("name", "decl")
 _FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
                                for key, flag in zip(_FLAG_KEYS, flags))
                for flags in product((False, True), repeat=len(_FLAG_KEYS))}
@@ -227,23 +228,47 @@ def serialize(model: OcdfModel) -> bytes:
     """Canonical UTF-8 JSON bytes. Identical models produce identical bytes;
     feature/flow order is preserved as given. A record field of a type the
     document cannot hold in its place (a flag that is not a bool, a string
-    field that is neither a str nor None) raises TypeError."""
+    field that is neither a str nor None) raises TypeError.
+
+    The records are formatted and encoded `_BATCH` at a time, so the only
+    whole copy of the document is the bytes returned."""
     text = _Encoded({None: "null"})
-    classes = []
-    for cls in model.classes:
+    out = io.BytesIO()
+    write = out.write
+    write(b'{"format_version":%d,"classes":[' % FORMAT_VERSION)
+    for index, cls in enumerate(model.classes):
         features = cls.features
-        flags = [*map(_FLAGS, features)]
-        if not {*map(type, chain.from_iterable(flags))} <= _BOOL:
+        if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= _BOOL:
             raise TypeError(f"class {cls.name!r}: a feature flag is not a bool")
+        # names and decls are escaped as they come, not kept: few of them
+        # repeat, and no flow names them
+        escape = (encode_basestring
+                  if {*map(type, chain.from_iterable(map(_NAME_DECL, features)))} <= _STR
+                  else text.__getitem__)  # a None among them is null
+        write(('%s{"name":%s,"features":[' % ("," if index else "", text[cls.name])).encode())
         # an enum's _value_ is an instance attribute; .value is a slower property
-        feature_docs = [_FEATURE_JSON % (text[f.id], f.kind._value_, text[f.name], text[f.decl],
-                                         f.visibility._value_, _FLAGS_JSON[fl])
-                        for f, fl in zip(features, flags)]
-        flow_docs = [_FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
-                     for f in cls.flows]
-        classes.append(_CLASS_JSON % (text[cls.name], ",".join(feature_docs), ",".join(flow_docs)))
-    return ('{"format_version":%d,"classes":[%s]}'
-            % (FORMAT_VERSION, ",".join(classes))).encode("utf-8")
+        _write_batches(write, (
+            _FEATURE_JSON % (text[f.id], f.kind._value_, escape(f.name), escape(f.decl),
+                             f.visibility._value_, _FLAGS_JSON[_FLAGS(f)])
+            for f in features))
+        write(b'],"flows":[')
+        _write_batches(write, (
+            _FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
+            for f in cls.flows))
+        write(b"]}")
+    write(b"]}")
+    return out.getvalue()
+
+
+_BATCH = 256  # records formatted and encoded at a time
+
+
+def _write_batches(write, docs: Iterator[str]) -> None:
+    """Write the records' JSON texts, comma-separated, as UTF-8 bytes."""
+    separator = ""
+    while batch := [*islice(docs, _BATCH)]:
+        write((separator + ",".join(batch)).encode("utf-8"))
+        separator = ","
 
 
 def deserialize(data: bytes | str) -> OcdfModel:
@@ -261,7 +286,9 @@ def deserialize(data: bytes | str) -> OcdfModel:
         raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
     loader = _Loader()
     try:
-        model = loader.model(_json_document(data))
+        doc = _json_document(data)
+        del data  # the decoded text: the records are built from `doc` alone
+        model = loader.model(doc)
     except RecursionError as exc:
         raise ModelError([_parse_problem("document nests too deeply")]) from exc
     if loader.problems:

@@ -49,8 +49,8 @@ def render_model_dot(model: OcdfModel, opts: RenderOptions = RenderOptions()) ->
     node_id, cluster_id = _dot_ids(), _dot_ids()  # unique across the digraph
     for cls in model.classes:
         lines.extend(_render_class(cls, opts, node_id, cluster_id))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the empty last line ends the text with a newline
+    return "\n".join(lines)
 
 
 def _render_class(cls: OcdfClass, opts: RenderOptions, node_id: Callable[[str], str],

@@ -209,3 +209,20 @@ def mutate_source(rng: random.Random, source: str, edits: int = 3) -> str:
         else:
             chars[i], chars[i + 1] = chars[i + 1], chars[i]
     return "".join(chars)
+
+
+def wide_race_class(entry_points: int, members: int) -> OcdfClass:
+    """A class whose analysis report is large for its size: `entry_points`
+    interface methods e_i each call one writer and one reader method, which
+    write and read `members` members m_j. Each member is a race hazard that
+    names every interface method as an entry point."""
+    roots = [Feature(f"e{i}", FeatureKind.INTERFACE_METHOD, f"e{i}",
+                     visibility=Visibility.PUBLIC) for i in range(entry_points)]
+    accessors = [Feature("put", FeatureKind.METHOD, "put"),
+                 Feature("get", FeatureKind.METHOD, "get")]
+    fields = [Feature(f"m{j}", FeatureKind.MEMBER, f"m{j}", "int") for j in range(members)]
+    flows = [Flow(FlowKind.CONTROL, root.id, accessor.id)
+             for root in roots for accessor in accessors]
+    flows += [flow for field in fields for flow in (Flow(FlowKind.DATA, "put", field.id),
+                                                    Flow(FlowKind.DATA, field.id, "get"))]
+    return build_class("Wide", [*roots, *accessors, *fields], flows)

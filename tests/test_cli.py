@@ -111,6 +111,48 @@ def test_line_breaks_in_names_stay_on_the_diagnostic_line(tmp_path, capsys):
                    "a\\nb: unknown kind token 'bogus'\n")
 
 
+def test_line_breaks_in_names_stay_on_the_analyze_report_line(tmp_path, capsys):
+    document = tmp_path / "breaks.json"
+    document.write_text(json.dumps({"format_version": 1, "classes": [{
+        "name": "C\nD",
+        "features": [
+            {"id": "a\nb", "kind": "member", "name": "a", "decl": "int",
+             "visibility": "private"},
+            *({"id": writer, "kind": "interface_method", "name": writer, "decl": "",
+               "visibility": "public"} for writer in ("p", "q")),
+        ],
+        "flows": [{"kind": "data", "source": writer, "target": "a\nb"}
+                  for writer in ("p", "q")]}]}))
+    code, out, err = run_cli(capsys, "analyze", str(document))
+    assert (code, err) == (0, "")
+    assert out == ("class C\\nD\n"
+                   "  component: a\\nb p q\n"
+                   "  warning: possible race on 'a\\nb' (writers: p, q; readers: -; "
+                   "entry points: p, q)\n")
+    code, out, err = run_cli(capsys, "analyze", "--format", "json", str(document))
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["races"][0]["member"] == "a\nb"
+
+
+def test_a_line_break_in_the_input_path_stays_on_the_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad\nname.moo"
+    bad.write_text("class C { private int x }")
+    code, out, err = run_cli(capsys, "extract", str(bad))
+    assert (code, out) == (2, "")
+    where = str(bad).replace("\n", "\\n")
+    assert err == f"{where}: E_PARSE 1:25: expected ';' before '}}'\n"
+    bad.write_bytes(b"class \xff { }")
+    code, out, err = run_cli(capsys, "extract", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: not valid UTF-8: ") and err.count("\n") == 1
+    missing = tmp_path / "missing\nfile.json"
+    code, out, err = run_cli(capsys, "validate", str(missing))
+    assert (code, out) == (2, "")
+    where = str(missing).replace("\n", "\\n")
+    assert err.startswith(f"error: cannot read {where}: ")
+    assert err.count("\n") == 1
+
+
 # Every character str.splitlines() breaks a line at, and any other character.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 NAME_TEXT = st.text(st.sampled_from(LINE_BREAKS) | st.characters())
