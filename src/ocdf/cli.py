@@ -23,10 +23,11 @@ its output, which `_stream` writes one chunk at a time. Decoding, loading,
 the analyses and serializing run inside the handler, so that `_run_one`
 stays the one place where a failed input becomes exit code 2 and its stderr
 lines; only the formatting of records already computed runs as the chunks
-are drawn. A run thus holds one input's model plus one chunk of its output
-(`_CHUNK` characters), not copies of the whole output. A failed input
-returns no chunks. An exception raised while the chunks are drawn is an
-internal error, and may leave that input's output partly written.
+are drawn. A text report or DOT text goes out about `_CHUNK` characters at
+a time, so a run holds one input's model plus one chunk of its output, not
+copies of the whole text. A failed input returns no chunks. An exception
+raised while the chunks are drawn is an internal error, and may leave that
+input's output partly written.
 
 Handlers call the other layers through the package's lazy names: `main`
 binds those of its subcommand (`_CALLS`) from `ocdf` as globals of this
@@ -139,7 +140,7 @@ def _stream(handler, args: argparse.Namespace) -> int:
     code is the worst of the inputs', or 2 when the output cannot be written;
     the output then gets nothing more."""
     name = args.output or "-"
-    early: dict[str, tuple[int, Iterable[bytes], str]] = {}
+    early: dict[str, tuple[int, list[bytes], str]] = {}
     try:
         if args.output is None:
             if sys.stdout is None:  # the process started with descriptor 1 closed
@@ -147,9 +148,12 @@ def _stream(handler, args: argparse.Namespace) -> int:
             out = contextlib.nullcontext(sys.stdout.buffer)
         else:
             # opening the output truncates it, so an input that is the output
-            # runs first; the others are read only when their turn comes
-            early = {path: _run_one(handler, args, path)
-                     for path in args.inputs if _is_output(path, args.output)}
+            # runs first, its chunks kept to be written as often as the path
+            # is given; the others are read only when their turn comes
+            for path in args.inputs:
+                if path not in early and _is_output(path, args.output):
+                    input_code, chunks, err = _run_one(handler, args, path)
+                    early[path] = input_code, [*chunks], err
             out = open(args.output, "wb")
     except OSError as exc:
         _say(f"error: cannot write {name}: {exc}\n")
@@ -264,33 +268,21 @@ def _run_analyze(args: argparse.Namespace, content: bytes,
     analyses = [(cls, substructures(cls), detect_races(cls))
                 for cls in deserialize(content).classes]
     if args.format == "json":
-        return 0, _analysis_json(analyses)
-    return 0, _lines(_analysis_lines(analyses, _color(_YELLOW, args)))
-
-
-def _analysis_json(analyses: list) -> Iterator[bytes]:
-    """The JSON report, one class at a time: the bytes of
-    `indented_json(classes) + "\\n"`."""
-    if not analyses:
-        yield b"[]\n"
-        return
-    separator = "[\n  "
-    for cls, parts, hazards in analyses:
-        yield (separator + indented_json({
+        return 0, ((indented_json([{
             "name": cls.name,
             "substructures": {
                 "components": parts.components,
                 "cut_suggestions": [{"components": pair, "shared_prefix_count": n}
                                     for pair, n in parts.cut_suggestions]},
             "races": [{"member": h.member, "writers": h.writers, "readers": h.readers,
-                       "entry_points": h.entry_points} for h in hazards]},
-            "  ")).encode("utf-8")
-        separator = ",\n  "
-    yield b"\n]\n"
+                       "entry_points": h.entry_points} for h in hazards]}
+            for cls, parts, hazards in analyses]) + "\n").encode("utf-8"),)
+    return 0, _lines(map(_one_line, _analysis_lines(analyses, _color(_YELLOW, args))))
 
 
 def _analysis_lines(analyses: list, warning: str) -> Iterator[str]:
-    """The text report's lines; `warning` is the %-format of a race line."""
+    """The text report's lines; `warning` is the %-format of a race line.
+    A name may hold a line break: the caller writes each as one line."""
     for cls, parts, hazards in analyses:
         yield f"class {cls.name}"
         for component in parts.components:
@@ -316,12 +308,13 @@ def _run_render(args: argparse.Namespace, content: bytes,
 
 
 def _lines(lines: Iterable[str]) -> Iterator[bytes]:
-    """`lines`, each written as one line (`_one_line`) and ended with a
-    newline, as UTF-8 chunks of about `_CHUNK` characters."""
+    """`lines`, each ended with a newline, as UTF-8 chunks of about `_CHUNK`
+    characters: a chunk per line would cost an encode and a write per line,
+    which shows on a report of many short lines."""
     batch: list[str] = []
     size = 0
     for line in lines:
-        batch.append(_one_line(line))
+        batch.append(line)
         size += len(line)
         if size >= _CHUNK:
             yield ("\n".join(batch) + "\n").encode("utf-8")

@@ -210,7 +210,6 @@ _FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
 _FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 _FLAGS = attrgetter(*_FLAG_KEYS)
-_NAME_DECL = attrgetter("name", "decl")
 _FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
                                for key, flag in zip(_FLAG_KEYS, flags))
                for flags in product((False, True), repeat=len(_FLAG_KEYS))}
@@ -222,6 +221,12 @@ class _Encoded(dict):
     def __missing__(self, text: str) -> str:
         self[text] = encoded = encode_basestring(text)  # TypeError for a non-str
         return encoded
+
+
+def _escape(text: str | None) -> str:
+    """A name's or decl's JSON form, not kept: few of them repeat, and the
+    memo would hold a second copy of most of a document's text."""
+    return "null" if text is None else encode_basestring(text)  # TypeError for a non-str
 
 
 def serialize(model: OcdfModel) -> bytes:
@@ -240,15 +245,10 @@ def serialize(model: OcdfModel) -> bytes:
         features = cls.features
         if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= _BOOL:
             raise TypeError(f"class {cls.name!r}: a feature flag is not a bool")
-        # names and decls are escaped as they come, not kept: few of them
-        # repeat, and no flow names them
-        escape = (encode_basestring
-                  if {*map(type, chain.from_iterable(map(_NAME_DECL, features)))} <= _STR
-                  else text.__getitem__)  # a None among them is null
         write(('%s{"name":%s,"features":[' % ("," if index else "", text[cls.name])).encode())
         # an enum's _value_ is an instance attribute; .value is a slower property
         _write_batches(write, (
-            _FEATURE_JSON % (text[f.id], f.kind._value_, escape(f.name), escape(f.decl),
+            _FEATURE_JSON % (text[f.id], f.kind._value_, _escape(f.name), _escape(f.decl),
                              f.visibility._value_, _FLAGS_JSON[_FLAGS(f)])
             for f in features))
         write(b'],"flows":[')

@@ -711,8 +711,8 @@ def test_an_input_that_is_the_output_is_read_first(tmp_path, capsys):
     other.write_bytes(serialize(random_valid_model(random.Random(1))))
     _, more, _ = run_cli(capsys, "render", str(other))
     assert run_cli(capsys, "render", "--output", str(document), str(other), str(document),
-                   str(tmp_path / ".." / tmp_path.name / "m.json")) == (0, "", "")
-    assert document.read_text(encoding="utf-8") == more + expected + expected
+                   str(tmp_path / ".." / tmp_path.name / "m.json"), str(document)) == (0, "", "")
+    assert document.read_text(encoding="utf-8") == more + expected * 3
 
 
 def test_an_output_that_cannot_be_opened_reads_no_input(tmp_path, capsys, monkeypatch):
