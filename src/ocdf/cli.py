@@ -19,7 +19,12 @@ lines but not the exit code.
 
 Each subcommand's handler takes (args, content, path), lets a bad input raise
 its `OcdfError`, and returns (exit code, chunks): an iterable of the bytes of
-its output, which `_stream` writes one chunk at a time. Decoding, loading,
+its output, which `_stream` writes one chunk at a time. `content` is a
+one-item list holding the input's bytes, and the handler pops them as it
+hands them to `deserialize` (or, for `extract`, to the decode). On CPython
+3.11 and later a call moves its arguments into the callee's frame, so from
+then on only that frame holds the bytes, and `deserialize` lets go of them
+once they are decoded. Decoding, loading,
 the analyses and serializing run inside the handler, so that `_run_one`
 stays the one place where a failed input becomes exit code 2 and its stderr
 lines; only the formatting of records already computed runs as the chunks
@@ -212,16 +217,18 @@ def _run_one(handler, args: argparse.Namespace,
     stderr text). A failed input exits 2, writes nothing to stdout, and
     gets one `error: ...` line for a read, encoding or class-selection
     failure, or one `PATH: CODE ...` line per diagnostic of a `ModelError`
-    or `MiniOoError`. The path is written as one line (`_one_line`)."""
+    or `MiniOoError`. The path is written as one line (`_one_line`). The
+    input's bytes go to the handler in a list that it empties, so that this
+    frame does not hold them while the input is handled."""
     where = _one_line(path)
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with descriptor 0 closed
                 return 2, (), "error: cannot read -: standard input is closed\n"
-            content = sys.stdin.buffer.read()
+            content = [sys.stdin.buffer.read()]
         else:
             with open(path, "rb") as handle:
-                content = handle.read()
+                content = [handle.read()]
     except OSError as exc:
         return 2, (), f"error: cannot read {where}: {exc}\n"
     try:
@@ -237,9 +244,9 @@ def _run_one(handler, args: argparse.Namespace,
     return code, chunks, ""
 
 
-def _run_extract(args: argparse.Namespace, content: bytes,
+def _run_extract(args: argparse.Namespace, content: list[bytes],
                  path: str) -> tuple[int, Iterable[bytes]]:
-    program = parse(content.decode("utf-8"))
+    program = parse(content.pop().decode("utf-8"))
     class_name = args.class_name
     if class_name is None:
         if not program.classes:
@@ -253,9 +260,9 @@ def _run_extract(args: argparse.Namespace, content: bytes,
     return 0, (serialize(model), b"\n")
 
 
-def _run_validate(args: argparse.Namespace, content: bytes,
+def _run_validate(args: argparse.Namespace, content: list[bytes],
                   path: str) -> tuple[int, Iterable[bytes]]:
-    findings = validate(deserialize(content))
+    findings = validate(deserialize(content.pop()))
     code = 1 if findings else 0
     if args.format == "json":
         return code, ((findings_json(findings) + "\n").encode("utf-8"),)
@@ -263,10 +270,10 @@ def _run_validate(args: argparse.Namespace, content: bytes,
     return code, _lines(color % d.render_line() for d in findings)
 
 
-def _run_analyze(args: argparse.Namespace, content: bytes,
+def _run_analyze(args: argparse.Namespace, content: list[bytes],
                  path: str) -> tuple[int, Iterable[bytes]]:
     analyses = [(cls, substructures(cls), detect_races(cls))
-                for cls in deserialize(content).classes]
+                for cls in deserialize(content.pop()).classes]
     if args.format == "json":
         return 0, ((indented_json([{
             "name": cls.name,
@@ -297,14 +304,14 @@ def _analysis_lines(analyses: list, warning: str) -> Iterator[str]:
                 f"entry points: {', '.join(hazard.entry_points) or '-'})")
 
 
-def _run_render(args: argparse.Namespace, content: bytes,
+def _run_render(args: argparse.Namespace, content: list[bytes],
                 path: str) -> tuple[int, Iterable[bytes]]:
     opts = RenderOptions(
         level=AbstractionLevel(args.level),
         show_inherited=not args.no_inherited,
         rankdir=RankDir(args.rankdir.upper()),
     )
-    return 0, _utf8(render_model_dot(deserialize(content), opts))
+    return 0, _utf8(render_model_dot(deserialize(content.pop()), opts))
 
 
 def _lines(lines: Iterable[str]) -> Iterator[bytes]:

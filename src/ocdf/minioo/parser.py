@@ -37,6 +37,7 @@ from . import ast
 from .lexer import EOF, IDENT, INT, KEYWORD, PUNCT, STRING, Token, describe, tokenize
 
 MAX_NESTING = 200
+_PASSED = 4096  # tokens kept behind the parser's position until a member or class boundary
 
 
 def parse(source: str) -> ast.Program:
@@ -55,6 +56,10 @@ class _SyncPoint(Exception):
 class _Parser:
     """Walks the token tuples by index. `pos` only moves past a token that is
     not EOF, and a second EOF pads the list, so tokens[pos + 1] always exists.
+    At a member or class boundary, once more than `_PASSED` tokens lie behind
+    `pos`, they are deleted and `pos` starts again at 0: every lookahead and
+    error recovery stays within one member, so the tree and the tokens still
+    ahead are what a parse holds, not the whole token list.
 
     A keyword or punctuation mark is matched by its text alone plus a check
     that the token is no string literal: no identifier, integer or EOF token
@@ -95,6 +100,12 @@ class _Parser:
             return tok
         self.fail(f"expected {what} before {describe(tok)}")
 
+    def let_go(self) -> None:
+        """Delete the tokens behind `pos` once there are more than `_PASSED`."""
+        if self.pos > _PASSED:
+            del self.tokens[:self.pos]
+            self.pos = 0
+
     def fail(self, message: str) -> None:
         _, _, line, column = self.tokens[self.pos]
         self.errors.append(SourceError(Code.E_PARSE, message, line, column))
@@ -117,6 +128,7 @@ class _Parser:
     def program(self) -> ast.Program:
         classes: list[ast.ClassDecl] = []
         while (tok := self.tokens[self.pos])[0] is not EOF:
+            self.let_go()  # `tok` stays the token at `pos`
             if tok[1] == "class" and tok[0] is KEYWORD:
                 try:
                     classes.append(self.class_decl())
@@ -141,6 +153,7 @@ class _Parser:
         methods: list[ast.MethodDecl] = []
         while (tok := self.tokens[self.pos])[0] is not EOF and not (
                 tok[1] == "}" and tok[0] is PUNCT):
+            self.let_go()
             try:
                 member = self.member()
             except _SyncPoint:

@@ -9,6 +9,16 @@ are enforced here on build and load; the validator reuses the same checks.
 Constraint rules (endpoint kinds, visibility, const writes) are
 representable on purpose and judged by the validator, so that non-conforming
 documents can still be loaded and checked.
+
+`deserialize` has three paths that give the same model or the same
+diagnostics. A document in `serialize`'s layout with a record array longer
+than `_SLICE` characters is parsed one slice of records at a time
+(`ocdf.slices`), never as a whole JSON tree. Any other document is parsed
+whole, and each regular class is lowered one field at a time across its
+records (`_bulk_class`). A class with an irregular record goes through
+`_Loader`, which alone writes load diagnostics; a document that fails
+anywhere on the sliced path is loaded again whole, so its diagnostics and
+their order are those of that path.
 """
 
 from __future__ import annotations
@@ -131,15 +141,18 @@ def _check_class(name: str, features: tuple[Feature, ...], flows: Iterable[Flow]
     feature wins a repeated id) and the flows with set semantics over
     Flow.key(), first occurrence kept.
 
-    A class whose flows come as a tuple is first tested whole, one set
-    operation per rule; only a class that fails that test is walked one
-    feature and one flow at a time to find and report its violations."""
-    if type(flows) is tuple:
+    A class whose flows come as a tuple or list is first tested whole, one
+    set operation per rule; only a class that fails that test is walked one
+    feature and one flow at a time to find and report its violations. When
+    no flow has a label, each flow is its own key, so no key is built."""
+    if type(flows) is tuple or type(flows) is list:
         feature_map = dict(zip(map(_ID, features), features))
         if (len(feature_map) == len(features)
-                and feature_map.keys() >= {*map(_SOURCE, flows), *map(_TARGET, flows)}
-                and len(set(map(_KEY, flows))) == len(flows)):
-            return feature_map, flows
+                and feature_map.keys() >= {*map(_SOURCE, flows), *map(_TARGET, flows)}):
+            if {*map(_LABEL, flows)} <= {None}:
+                return feature_map, tuple(dict.fromkeys(flows))
+            if len(set(map(_KEY, flows))) == len(flows):
+                return feature_map, tuple(flows)
     feature_map = {}
     for feat in features:
         if feat.id in feature_map:
@@ -162,6 +175,7 @@ def _check_class(name: str, features: tuple[Feature, ...], flows: Iterable[Flow]
 _ID = attrgetter("id")
 _SOURCE = attrgetter("source")
 _TARGET = attrgetter("target")
+_LABEL = attrgetter("label")
 _KEY = attrgetter("kind", "source", "target")  # Flow.key()
 
 
@@ -206,6 +220,8 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
 # through the escaper json.dumps(ensure_ascii=False) uses, so the bytes are
 # those of json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
 
+_HEAD = '{"format_version":%d,"classes":[' % FORMAT_VERSION
+_FLOWS = '],"flows":['  # between a class's features and its flows
 _FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
 _FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
@@ -240,7 +256,7 @@ def serialize(model: OcdfModel) -> bytes:
     text = _Encoded({None: "null"})
     out = io.BytesIO()
     write = out.write
-    write(b'{"format_version":%d,"classes":[' % FORMAT_VERSION)
+    write(_HEAD.encode())
     for index, cls in enumerate(model.classes):
         features = cls.features
         if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= _BOOL:
@@ -251,7 +267,7 @@ def serialize(model: OcdfModel) -> bytes:
             _FEATURE_JSON % (text[f.id], f.kind._value_, _escape(f.name), _escape(f.decl),
                              f.visibility._value_, _FLAGS_JSON[_FLAGS(f)])
             for f in features))
-        write(b'],"flows":[')
+        write(_FLOWS.encode())
         _write_batches(write, (
             _FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
             for f in cls.flows))
@@ -271,12 +287,18 @@ def _write_batches(write, docs: Iterator[str]) -> None:
         separator = ","
 
 
+_SLICE = 1 << 17  # characters of a record array parsed at a time (`ocdf.slices`)
+
+
 def deserialize(data: bytes | str) -> OcdfModel:
     """Load a model document, checking every structural rule.
 
     Raises ModelError carrying E_PARSE (malformed or too deeply nested
     document, an over-long integer, an unpaired surrogate), E_BAD_ENUM
     (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
+
+    The bytes are let go once decoded; the module docstring names the
+    paths a document takes.
     """
     if isinstance(data, str):  # one strict decode for both: a raw lone surrogate fails it
         data = data.encode("utf-8", "surrogatepass")
@@ -284,6 +306,14 @@ def deserialize(data: bytes | str) -> OcdfModel:
         data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
+    # a record array longer than a slice lies before the first `_FLOWS` or
+    # after it; only a document that may hold one imports `ocdf.slices`
+    flows = data.find(_FLOWS) if len(data) > _SLICE else -1
+    if flows >= 0 and max(flows, len(data) - flows) > _SLICE:
+        from .slices import sliced_model
+        model = sliced_model(data)
+        if model is not None:
+            return model
     loader = _Loader()
     try:
         doc = _json_document(data)

@@ -1,7 +1,9 @@
 """A stage holds one input's model plus one chunk of its output: no whole
 copy of a report beside its records, one copy of a serialized document, and
-one string per distinct identifier in a token list. Peaks are measured with
-`tracemalloc`, which counts only what is allocated while it traces."""
+one string per distinct identifier in a token list. A load holds no whole
+JSON tree of a large document, and a parse no token it has passed. Peaks
+are measured with `tracemalloc`, which counts only what is allocated while
+it traces."""
 
 import errno
 import io
@@ -13,9 +15,10 @@ import tracemalloc
 from ocdf.analysis import detect_races, substructures
 from ocdf.cli import main
 from ocdf.minioo.lexer import IDENT, KEYWORD, tokenize
+from ocdf.minioo.parser import parse
 from ocdf.model import build_model, deserialize, serialize
 
-from generators import random_valid_class, wide_race_class
+from generators import random_minioo_source, random_valid_class, wide_race_class
 
 MIB = 1 << 20
 
@@ -44,9 +47,8 @@ def test_analyze_holds_its_records_and_one_chunk_of_the_report(tmp_path):
     assert report >= MIB
 
     def load_and_analyse():
-        content = document.read_bytes()  # held while the stage runs, as the CLI holds it
         return [(cls, substructures(cls), detect_races(cls))
-                for cls in deserialize(content).classes]
+                for cls in deserialize(document.read_bytes()).classes]
 
     analysed = _peak(load_and_analyse)
     written = _peak(lambda: main(argv))
@@ -58,6 +60,24 @@ def test_serialize_holds_one_copy_of_the_document():
     document = serialize(model)
     assert len(document) >= MIB // 2
     assert _peak(lambda: serialize(model)) < 2 * len(document)
+
+
+def test_deserialize_holds_no_whole_json_tree_of_a_large_document():
+    """The parsed JSON of a document takes several times its bytes; a large
+    document is parsed a slice of records at a time, so a load holds the
+    decoded text, the records and one slice."""
+    document = serialize(build_model([random_valid_class(random.Random(5), max_features=20000)]))
+    assert len(document) >= MIB
+    assert _peak(lambda: deserialize(document)) < 5 * len(document)
+
+
+def test_parse_holds_no_token_it_has_passed():
+    """A parse starts from the whole token list and lets go of the tokens
+    behind it as the tree grows, so it peaks near `tokenize`'s own peak."""
+    rng = random.Random(7)
+    source = "".join(random_minioo_source(rng) for _ in range(300))
+    assert len(tokenize(source)) >= 50_000
+    assert _peak(lambda: parse(source)) < 1.25 * _peak(lambda: tokenize(source))
 
 
 def test_tokenize_returns_one_string_per_identifier_text():

@@ -12,16 +12,19 @@ lexer must also treat a source and its folded form alike.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocdf.diagnostics import MiniOoError
-from ocdf.minioo import ast, extract, extract_lazy_inherited, parse
+from ocdf.minioo import ast, extract, extract_lazy_inherited, parse, parser
 from ocdf.minioo.lexer import tokenize
 
 from corpus_util import corpus_files
 from generators import mutate_source, random_minioo_source
 from oracles import interpreted_flows, reference_parse, reference_tokenize
+from strategies import programs
 
 GENERATED = 60
 MUTANTS = 240
@@ -106,6 +109,15 @@ def test_mutants_reach_the_error_paths():
     messages = {e.message.split(" ")[0] for errors in outcomes if errors for e in errors}
     assert {"unexpected", "unterminated", "expected"} <= messages
     assert sum(errors is None for errors in outcomes) >= MUTANTS // 10
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.booleans().flatmap(lambda errors: programs(errors=errors)))
+def test_grammar_built_programs_parse_as_the_reference_parses_them(source):
+    """Trees with their spans, or error lists, agree with the reference
+    while the parser lets go of every token behind it at each boundary."""
+    with mock.patch.object(parser, "_PASSED", 0):
+        assert _outcome(parse, source) == _outcome(reference_parse, source)
 
 
 @pytest.mark.parametrize("source", [
