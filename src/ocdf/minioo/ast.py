@@ -85,9 +85,3 @@ class ClassDecl(_Node, namedtuple("ClassDecl", "span name parent fields methods"
 
 class Program(_Node, namedtuple("Program", "classes", defaults=((),))):
     __slots__ = ()
-
-    def find_class(self, name: str) -> ClassDecl | None:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None

@@ -81,10 +81,6 @@ class Feature(_Node, namedtuple(
 
     __slots__ = ()
 
-    @property
-    def is_method_kind(self) -> bool:
-        return self.kind in METHOD_KINDS
-
 
 class Flow(_Node, namedtuple("Flow", "kind source target label", defaults=(None,))):
     """A directed edge: control is caller->callee, data is provider->consumer."""
@@ -161,14 +157,11 @@ def _check_class(name: str, features: tuple[Feature, ...], flows: Iterable[Flow]
         feature_map[feat.id] = feat
     kept: dict[tuple[FlowKind, str, str], Flow] = {}
     for flow in flows:
-        source, target = flow.source, flow.target
-        if source not in feature_map:
-            problems.append(_dangling(name, source))
-        if target not in feature_map:
-            problems.append(_dangling(name, target))
-        key = (flow.kind, source, target)  # Flow.key(), inlined on this hot path
-        if key not in kept:
-            kept[key] = flow
+        if flow.source not in feature_map:
+            problems.append(_dangling(name, flow.source))
+        if flow.target not in feature_map:
+            problems.append(_dangling(name, flow.target))
+        kept.setdefault(flow.key(), flow)
     return feature_map, tuple(kept.values())
 
 
@@ -176,7 +169,7 @@ _ID = attrgetter("id")
 _SOURCE = attrgetter("source")
 _TARGET = attrgetter("target")
 _LABEL = attrgetter("label")
-_KEY = attrgetter("kind", "source", "target")  # Flow.key()
+_KEY = attrgetter("kind", "source", "target")  # Flow.key() as a column
 
 
 def _dangling(class_name: str, endpoint: str) -> Diagnostic:
@@ -215,15 +208,20 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
     return Diagnostic(code, message, (Subject(class_name, ids),))
 
 
-# The canonical document, written without building a dict per record. Field
-# order below is the canonical field order; do not reorder. Each string goes
-# through the escaper json.dumps(ensure_ascii=False) uses, so the bytes are
-# those of json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
+# The canonical document's layout, defined by these texts alone: `serialize`
+# writes from them, without building a dict per record, and `ocdf.slices`
+# reads by them. Field order below is the canonical field order; do not
+# reorder. Each string goes through the escaper json.dumps(ensure_ascii=False)
+# uses, so the bytes are those of json.dumps(doc, ensure_ascii=False,
+# separators=(",", ":")).
 
 _HEAD = '{"format_version":%d,"classes":[' % FORMAT_VERSION
+_NAME, _FEATURES = '{"name":', ',"features":['  # a class's opener, around its name
 _FLOWS = '],"flows":['  # between a class's features and its flows
-_FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
-_FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
+_END = "]}"  # closes a class's flows, and the document's classes
+_FEATURE_HEAD, _FLOW_HEAD = '{"id":', '{"kind":'  # how a feature and a flow record begin
+_FEATURE_JSON = _FEATURE_HEAD + '%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
+_FLOW_JSON = _FLOW_HEAD + '"%s","source":%s,"target":%s,"label":%s}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 _FLAGS = attrgetter(*_FLAG_KEYS)
 _FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
@@ -261,7 +259,7 @@ def serialize(model: OcdfModel) -> bytes:
         features = cls.features
         if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= _BOOL:
             raise TypeError(f"class {cls.name!r}: a feature flag is not a bool")
-        write(('%s{"name":%s,"features":[' % ("," if index else "", text[cls.name])).encode())
+        write(f'{"," if index else ""}{_NAME}{text[cls.name]}{_FEATURES}'.encode())
         # an enum's _value_ is an instance attribute; .value is a slower property
         _write_batches(write, (
             _FEATURE_JSON % (text[f.id], f.kind._value_, _escape(f.name), _escape(f.decl),
@@ -271,8 +269,8 @@ def serialize(model: OcdfModel) -> bytes:
         _write_batches(write, (
             _FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
             for f in cls.flows))
-        write(b"]}")
-    write(b"]}")
+        write(_END.encode())
+    write(_END.encode())
     return out.getvalue()
 
 
@@ -427,13 +425,8 @@ class _Loader:
             visibility = _VISIBILITIES[get("visibility")]
         except (KeyError, TypeError):
             visibility = self._bad_token(raw, "visibility", class_name, where, Visibility.PRIVATE)
-        flags = (get("is_static", False), get("is_const", False),
-                 get("is_constructor", False), get("inherited", False))
-        # one test for all four flags (bool has no subclasses)
-        if not (type(flags[0]) is type(flags[1]) is type(flags[2]) is type(flags[3]) is bool):
-            flags = tuple(self._flag(value, key, class_name, where)
-                          for value, key in zip(flags, _FLAG_KEYS))
-        return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility, *flags)
+        return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility,
+                       *[self._flag(get(key, False), key, class_name, where) for key in _FLAG_KEYS])
 
     def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
         if not isinstance(raw, dict):
@@ -457,7 +450,7 @@ class _Loader:
             return None
         return Flow(kind, source, target, label)
 
-    # These record a diagnostic; they run only once a field has failed its check.
+    # These record a diagnostic for a field that fails its check.
 
     def _not_str(self, key: str, class_name: str, where: str, missing: str | None) -> str | None:
         self.problems.append(_parse_problem(f"{where} is missing string field '{key}'",

@@ -1,16 +1,16 @@
 """The sliced load of a large model document.
 
-`serialize` writes `model._HEAD`, then each class as
-`{"name":...,"features":[...],"flows":[...]}`, comma-separated, then `]}`.
-`model.deserialize` hands a document that may hold a record array longer
-than `model._SLICE` characters to `sliced_model`, which parses each such
-array of a document in that layout one slice of records at a time. A load
-then holds the decoded text, the records and one slice of JSON, never the
-whole JSON tree.
+`serialize` writes `model._HEAD`, then each class as `_NAME`, its name,
+`_FEATURES`, its features, `_FLOWS`, its flows and `_END`, comma-separated,
+then `_END`; each text matched here is built from those. `model.deserialize`
+hands a document that may hold a record array longer than `model._SLICE`
+characters to `sliced_model`, which parses each such array of a document in
+that layout one slice of records at a time. A load then holds the decoded
+text, the records and one slice of JSON, never the whole JSON tree.
 
 A `"` inside a valid JSON string is escaped, so `{"id":` and `{"kind":`
 never lie inside one (a quote after the brace would end the string, and no
-key may follow that). A cut at `},{"id":` or `},{"kind":` therefore falls
+key may follow that). A cut at `,{"id":` or `,{"kind":` therefore falls
 between two records or inside a nested value, and a slice cut inside a
 nested value does not parse. The same holds for `_FLOWS` and `_NEXT`.
 
@@ -26,12 +26,14 @@ from json.decoder import scanstring
 
 from . import model
 from .diagnostics import Diagnostic
-from .model import (_FLOWS, _HEAD, _SURROGATE_ESCAPE, OcdfClass, OcdfModel, _bulk_class,
-                    _check_class, _check_class_names)
+from .model import (_END, _FEATURE_HEAD, _FEATURES, _FLOW_HEAD, _FLOWS, _HEAD, _NAME,
+                    _SURROGATE_ESCAPE, OcdfClass, OcdfModel, _bulk_class, _check_class,
+                    _check_class_names)
 
-_NAME = '{"name":"'
-_FEATURES = ',"features":['
-_NEXT = ']},{"name":"'  # the end of a class's flows when another class follows
+_OPEN = _NAME + '"'  # a class's opener, up to its name's first character
+_AFTER = _END + ","  # the end of a class's flows when another class follows
+_NEXT = _AFTER + _OPEN
+_LAST = _END + _END  # the end of the last class's flows and of the document
 
 
 def sliced_model(text: str) -> OcdfModel | None:
@@ -43,7 +45,7 @@ def sliced_model(text: str) -> OcdfModel | None:
 
     The class level is read in the exact layout, each name by `json`'s own
     string scanner, and each array is taken to end at the first text that
-    must follow it (the last class's flows, at the document's last `]}]}`).
+    must follow it (the last class's flows, at the document's last `_LAST`).
     That end is right when every slice of the array parses as a list of
     values: a bracket inside a record would leave a slice unbalanced. The
     whole document then parses as this path read it."""
@@ -53,9 +55,9 @@ def sliced_model(text: str) -> OcdfModel | None:
     pos = len(_HEAD)
     try:
         while True:
-            if not text.startswith(_NAME, pos):
+            if not text.startswith(_OPEN, pos):
                 return None
-            name, pos = scanstring(text, pos + len(_NAME))
+            name, pos = scanstring(text, pos + len(_OPEN))
             if not name or not text.startswith(_FEATURES, pos):
                 return None
             features = pos + len(_FEATURES)
@@ -64,10 +66,10 @@ def sliced_model(text: str) -> OcdfModel | None:
             flows_end = text.find(_NEXT, flows)
             if flows_end >= 0:
                 spans.append((name, features, features_end, flows, flows_end))
-                pos = flows_end + 3  # the next class's `{`
+                pos = flows_end + len(_AFTER)  # the next class's opener
                 continue
-            flows_end = text.rfind("]}]}", flows)  # the last class
-            if flows_end < 0 or text[flows_end + 4:].strip(" \t\n\r"):
+            flows_end = text.rfind(_LAST, flows)  # the last class
+            if flows_end < 0 or text[flows_end + len(_LAST):].strip(" \t\n\r"):
                 return None
             spans.append((name, features, features_end, flows, flows_end))
             break
@@ -77,8 +79,8 @@ def sliced_model(text: str) -> OcdfModel | None:
         classes = []
         problems: list[Diagnostic] = []
         for name, features, features_end, flows, flows_end in spans:
-            features = _records(text, features, features_end, '},{"id":', "features")
-            flows = _records(text, flows, flows_end, '},{"kind":', "flows")
+            features = _records(text, features, features_end, _FEATURE_HEAD, "features")
+            flows = _records(text, flows, flows_end, _FLOW_HEAD, "flows")
             _, flows = _check_class(name, features, flows, problems)
             classes.append(OcdfClass(name, features, flows))
         _check_class_names(classes, problems)
@@ -87,19 +89,21 @@ def sliced_model(text: str) -> OcdfModel | None:
     return None if problems else OcdfModel(tuple(classes))
 
 
-def _records(text: str, start: int, end: int, cut: str, key: str) -> tuple:
+def _records(text: str, start: int, end: int, head: str, key: str) -> tuple:
     """The records of the array between `start` and `end`, parsed a slice at
     a time and lowered by `_bulk_class` as the `key` records of a class; a
-    slice ends at the first `cut` past `model._SLICE` characters, read at
-    each call so that a test may lower it. Raises ValueError for a slice
-    that does not parse or holds an irregular record."""
+    slice ends at the first comma followed by a record `head` past
+    `model._SLICE` characters, read at each call so that a test may lower
+    it. Raises ValueError for a slice that does not parse or holds an
+    irregular record."""
+    cut = "," + head
     records: list = []
     while True:
-        at = text.find(cut, start + model._SLICE, end) if end - start > model._SLICE else -1
-        lowered = _bulk_class({key: json.loads(f"[{text[start:end if at < 0 else at + 1]}]")})
+        at = text.find(cut, start + model._SLICE, end)
+        lowered = _bulk_class({key: json.loads(f"[{text[start:end if at < 0 else at]}]")})
         if lowered is None:
             raise ValueError("an irregular record")
         records += lowered[1] if key == "flows" else lowered[0]
         if at < 0:
             return tuple(records)
-        start = at + 2
+        start = at + 1  # past the comma

@@ -283,11 +283,12 @@ def reference_races(cls: OcdfClass) -> list[RaceHazard]:
                 continue
             if flow.target == member.id:
                 source = features.get(flow.source)
-                if source is not None and source.is_method_kind and not source.is_constructor:
+                if (source is not None and source.kind is not FeatureKind.MEMBER
+                        and not source.is_constructor):
                     writers.add(source.id)
             if flow.source == member.id:
                 target = features.get(flow.target)
-                if target is not None and target.is_method_kind:
+                if target is not None and target.kind is not FeatureKind.MEMBER:
                     readers.add(target.id)
         if not (len(writers) >= 2 or (writers and readers - writers)):
             continue
@@ -323,7 +324,7 @@ def _entry_points(cls: OcdfClass, features: dict[str, Feature]) -> dict[str, set
                 continue
             seen.add(node)
             feature = features.get(node)
-            if feature is not None and feature.is_method_kind:
+            if feature is not None and feature.kind is not FeatureKind.MEMBER:
                 entries.setdefault(node, set()).add(root.id)
             stack.extend(succ.get(node, ()))
     return entries
@@ -972,19 +973,19 @@ def reference_validate(cls: OcdfClass) -> list[Diagnostic]:
             continue  # reported as E_DANGLING_REF
 
         if flow.kind is FlowKind.CONTROL:
-            if not (source.is_method_kind and target.is_method_kind):
+            if source.kind is FeatureKind.MEMBER or target.kind is FeatureKind.MEMBER:
                 findings.append(_ref_error(
                     Code.E_CF_ENDPOINT, cls.name, (flow.source, flow.target),
                     f"control flow {flow.source}->{flow.target} touches a data member; "
                     "control flow connects only method instances"))
         else:
-            if not source.is_method_kind and not target.is_method_kind:
+            if source.kind is FeatureKind.MEMBER and target.kind is FeatureKind.MEMBER:
                 findings.append(_ref_error(
                     Code.E_DF_ENDPOINT, cls.name, (flow.source, flow.target),
                     f"data flow {flow.source}->{flow.target} connects two data members; "
                     "data flow connects two methods or a method and a data member"))
             elif (target.kind is FeatureKind.MEMBER and target.is_const
-                  and source.is_method_kind and not source.is_constructor):
+                  and source.kind is not FeatureKind.MEMBER and not source.is_constructor):
                 # Fires only on writes (const member as target); reads are fine.
                 findings.append(_ref_error(
                     Code.E_CONST_WRITE, cls.name, (flow.source, flow.target),

@@ -373,7 +373,7 @@ class Sub : Base {
 
 def test_feature_counts_match_declarations_everywhere():
     for path, program, name in corpus_classes():
-        decl = program.find_class(name)
+        decl = next(c for c in program.classes if c.name == name)
         cls = extract(program, name)
         members = [f for f in cls.features if f.kind is FeatureKind.MEMBER]
         methods = [f for f in cls.features if f.kind is not FeatureKind.MEMBER]

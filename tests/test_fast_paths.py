@@ -2,7 +2,7 @@
 `oracles.py`: the canonical document writer (`serialize`), the indented
 JSON writer (`indented_json`) and the reports `validate` and `analyze
 --format json` print with it, and the loader's bulk path on documents that
-omit optional fields."""
+omit optional fields and on every document `serialize` writes."""
 
 import json
 import random
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ocdf.cli import main
 from ocdf.diagnostics import Code, Diagnostic, Subject, findings_json, indented_json
 from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
-                        _bulk_class, build_class, build_model, deserialize, serialize)
+                        _bulk_class, _Loader, build_class, build_model, deserialize, serialize)
 
 from generators import random_valid_model
 from oracles import (reference_analyze_json, reference_deserialize, reference_findings_json,
@@ -192,3 +192,27 @@ def test_documents_without_optional_fields_load_in_bulk_like_the_reference(omitt
         data = json.dumps(doc)
         assert deserialize(data) == reference_deserialize(data)
         assert all(_bulk_class(cls) is not None for cls in doc["classes"])
+
+
+@pytest.mark.parametrize("slice_chars", [None, 64], ids=["slice", "slice-64"])
+def test_serialized_documents_never_take_the_per_record_path(monkeypatch, slice_chars):
+    """A document `serialize` wrote loads whole on the bulk path or slice by
+    slice, with `_SLICE` as it is or lowered so that most documents take
+    the sliced load: `_Loader.feature` and `_Loader.flow`, which only an
+    irregular record needs, are never called."""
+    calls = []
+    for name in ("feature", "flow"):
+        monkeypatch.setattr(_Loader, name, _spy(getattr(_Loader, name), calls))
+    if slice_chars is not None:
+        monkeypatch.setattr("ocdf.model._SLICE", slice_chars)
+    for seed in range(200):
+        model = random_valid_model(random.Random(seed))
+        assert deserialize(serialize(model)) == model
+    assert calls == []
+
+
+def _spy(method, calls: list):
+    def spy(*args):
+        calls.append(args)
+        return method(*args)
+    return spy
