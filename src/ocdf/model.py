@@ -10,15 +10,13 @@ Constraint rules (endpoint kinds, visibility, const writes) are
 representable on purpose and judged by the validator, so that non-conforming
 documents can still be loaded and checked.
 
-`deserialize` has three paths that give the same model or the same
-diagnostics. A document in `serialize`'s layout with a record array longer
-than `_SLICE` characters is parsed one slice of records at a time
-(`ocdf.slices`), never as a whole JSON tree. Any other document is parsed
-whole, and each regular class is lowered one field at a time across its
-records (`_bulk_class`). A class with an irregular record goes through
-`_Loader`, which alone writes load diagnostics; a document that fails
-anywhere on the sliced path is loaded again whole, so its diagnostics and
-their order are those of that path.
+`deserialize` parses a document with `_record` as the object hook, which
+turns each regular feature or flow object into its record as soon as it is
+read, so no dict per record is kept, whatever the document's size or
+layout; a class with any other record goes through `_Loader` one record at
+a time. That pass stops at its first problem. The document is then parsed
+again without the hook, and `_Loader` reports every problem, so the
+diagnostics and their order come from one path.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import io
 import json
 import re
 from collections import namedtuple
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
@@ -208,25 +206,24 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
     return Diagnostic(code, message, (Subject(class_name, ids),))
 
 
-# The canonical document's layout, defined by these texts alone: `serialize`
-# writes from them, without building a dict per record, and `ocdf.slices`
-# reads by them. Field order below is the canonical field order; do not
-# reorder. Each string goes through the escaper json.dumps(ensure_ascii=False)
-# uses, so the bytes are those of json.dumps(doc, ensure_ascii=False,
-# separators=(",", ":")).
+# The canonical document's layout: `serialize` writes from these texts,
+# without building a dict per record. Field order below is the canonical
+# field order; do not reorder. Each string goes through the escaper
+# json.dumps(ensure_ascii=False) uses, so the bytes are those of
+# json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
 
 _HEAD = '{"format_version":%d,"classes":[' % FORMAT_VERSION
 _NAME, _FEATURES = '{"name":', ',"features":['  # a class's opener, around its name
 _FLOWS = '],"flows":['  # between a class's features and its flows
 _END = "]}"  # closes a class's flows, and the document's classes
-_FEATURE_HEAD, _FLOW_HEAD = '{"id":', '{"kind":'  # how a feature and a flow record begin
-_FEATURE_JSON = _FEATURE_HEAD + '%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
-_FLOW_JSON = _FLOW_HEAD + '"%s","source":%s,"target":%s,"label":%s}'
+_FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
+_FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 _FLAGS = attrgetter(*_FLAG_KEYS)
 _FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
                                for key, flag in zip(_FLAG_KEYS, flags))
                for flags in product((False, True), repeat=len(_FLAG_KEYS))}
+_BOOL = {bool}
 
 
 class _Encoded(dict):
@@ -285,9 +282,6 @@ def _write_batches(write, docs: Iterator[str]) -> None:
         separator = ","
 
 
-_SLICE = 1 << 17  # characters of a record array parsed at a time (`ocdf.slices`)
-
-
 def deserialize(data: bytes | str) -> OcdfModel:
     """Load a model document, checking every structural rule.
 
@@ -296,7 +290,7 @@ def deserialize(data: bytes | str) -> OcdfModel:
     (unknown kind/visibility token), E_DUP_ID, or E_DANGLING_REF.
 
     The bytes are let go once decoded; the module docstring names the
-    paths a document takes.
+    passes a document takes.
     """
     if isinstance(data, str):  # one strict decode for both: a raw lone surrogate fails it
         data = data.encode("utf-8", "surrogatepass")
@@ -304,17 +298,13 @@ def deserialize(data: bytes | str) -> OcdfModel:
         data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelError([_parse_problem(f"not valid UTF-8: {exc}")]) from exc
-    # a record array longer than a slice lies before the first `_FLOWS` or
-    # after it; only a document that may hold one imports `ocdf.slices`
-    flows = data.find(_FLOWS) if len(data) > _SLICE else -1
-    if flows >= 0 and max(flows, len(data) - flows) > _SLICE:
-        from .slices import sliced_model
-        model = sliced_model(data)
-        if model is not None:
-            return model
-    loader = _Loader()
+    try:  # the first problem ends this pass; the plain pass below reports them all
+        return _Loader(_FirstProblem()).model(_json_document(data, _record))
+    except (ModelError, RecursionError):
+        pass
+    loader = _Loader([])
     try:
-        doc = _json_document(data)
+        doc = _json_document(data, None)
         del data  # the decoded text: the records are built from `doc` alone
         model = loader.model(doc)
     except RecursionError as exc:
@@ -324,11 +314,19 @@ def deserialize(data: bytes | str) -> OcdfModel:
     return model
 
 
-def _json_document(data: str) -> object:
-    """`json.loads`, where a value Python cannot hold or write is an E_PARSE
-    like malformed JSON. Nesting too deep raises RecursionError."""
+class _FirstProblem(list):
+    """A problem list that raises its first problem as a ModelError."""
+
+    def append(self, problem: Diagnostic) -> None:
+        raise ModelError([problem])
+
+
+def _json_document(data: str, hook) -> object:
+    """`json.loads` with `hook` as its object hook, where a value Python
+    cannot hold or write is an E_PARSE like malformed JSON. Nesting too deep
+    raises RecursionError."""
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_hook=hook)
         if _SURROGATE_ESCAPE.search(data):  # a paired escape decodes to one encodable character
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         return doc
@@ -341,17 +339,45 @@ def _json_document(data: str) -> object:
     raise ModelError([_parse_problem(message)])
 
 
+_FEATURE_FIELDS = itemgetter(*Feature._fields)
+_FLOW_FIELDS = itemgetter(*Flow._fields)
+_new = tuple.__new__  # a record from a tuple of its fields, without the named tuple's checks
+
+
+def _record(obj: dict) -> object:
+    """The object hook: a feature or flow object that holds every field,
+    each of its type, becomes its record; any other object is kept."""
+    try:
+        size = len(obj)
+        if size == 4:
+            kind, source, target, label = _FLOW_FIELDS(obj)
+            if type(source) is type(target) is str and (label is None or type(label) is str):
+                return _new(Flow, (_FLOW_KINDS[kind], source, target, label))
+        elif size == 9:
+            fid, kind, name, decl, visibility, static, const, constructor, inherited = \
+                _FEATURE_FIELDS(obj)
+            if (fid and type(fid) is type(name) is type(decl) is str and type(static)
+                    is type(const) is type(constructor) is type(inherited) is bool):
+                return _new(Feature, (
+                    fid, _FEATURE_KINDS[kind], name, decl, _VISIBILITIES[visibility],
+                    static, const, constructor, inherited))
+    except (KeyError, TypeError):  # a missing field; an unknown or unhashable token
+        pass
+    return obj
+
+
 def _parse_problem(message: str, class_name: str = "") -> Diagnostic:
     subjects = (Subject(class_name),) if class_name else ()
     return Diagnostic(Code.E_PARSE, message, subjects)
 
 
 class _Loader:
-    """Document-to-model lowering that collects problems instead of stopping
-    at the first one, so a load failure reports everything wrong at once."""
+    """Document-to-model lowering that appends each problem to `problems`;
+    a plain list collects them all, so a load failure reports everything
+    wrong at once."""
 
-    def __init__(self) -> None:
-        self.problems: list[Diagnostic] = []
+    def __init__(self, problems: list[Diagnostic]) -> None:
+        self.problems = problems
 
     def model(self, doc: object) -> OcdfModel:
         if not isinstance(doc, dict):
@@ -378,10 +404,11 @@ class _Loader:
             self.problems.append(_parse_problem(f"classes[{index}] is missing a name"))
             name = f"<classes[{index}]>"
 
-        bulk = _bulk_class(raw)
-        if bulk is not None:
-            features, flows = bulk
-        else:  # an irregular record: this path finds and reports each problem
+        features, flows = raw.get("features", []), raw.get("flows", [])
+        if (type(features) is list and type(flows) is list
+                and {*map(type, features)} <= {Feature} and {*map(type, flows)} <= {Flow}):
+            features = tuple(features)  # every record built by `_record`
+        else:  # per record, this path finding and reporting each problem
             features = tuple(self.feature(f, name, i)
                              for i, f in enumerate(self._list(raw, "features", name)))
             flows = self.flows(raw, name)
@@ -405,6 +432,8 @@ class _Loader:
         return value
 
     def feature(self, raw: object, class_name: str, index: int) -> Feature:
+        if type(raw) is Feature:  # built by `_record`
+            return raw
         if not isinstance(raw, dict):
             self.problems.append(_parse_problem(f"features[{index}] must be an object", class_name))
             return Feature(id=f"<features[{index}]>", kind=FeatureKind.MEMBER, name="")
@@ -412,6 +441,8 @@ class _Loader:
         fid, name, decl = get("id"), get("name"), get("decl")
         if not isinstance(fid, str):
             fid = self._not_str("id", class_name, f"features[{index}]", "")
+        elif not fid:
+            self.problems.append(_parse_problem(f"features[{index}] has an empty id", class_name))
         if not isinstance(name, str):
             name = self._not_str("name", class_name, f"features[{index}]", "")
         if not isinstance(decl, str):
@@ -429,6 +460,8 @@ class _Loader:
                        *[self._flag(get(key, False), key, class_name, where) for key in _FLAG_KEYS])
 
     def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
+        if type(raw) is Flow:  # built by `_record`
+            return raw
         if not isinstance(raw, dict):
             self.problems.append(_parse_problem(f"flows[{index}] must be an object", class_name))
             return None
@@ -475,48 +508,3 @@ class _Loader:
 _FEATURE_KINDS = FeatureKind._value2member_map_
 _VISIBILITIES = Visibility._value2member_map_
 _FLOW_KINDS = FlowKind._value2member_map_
-
-# The bulk path: a class whose records all hold every required field, each
-# field of the right type, loads one field at a time across all records, in
-# C-level loops; an absent optional field reads as its default.
-_OPTIONAL = {**dict.fromkeys(_FLAG_KEYS, False), "label": None}  # field -> its default
-_STR = {str}
-_LABEL_TYPES = {str, type(None)}
-_BOOL = {bool}
-
-
-def _bulk_class(raw: dict) -> tuple[tuple[Feature, ...], tuple[Flow, ...]] | None:
-    """The class's features and flows when every record is regular, else None.
-    Writes no diagnostic: an irregular class goes back to `_Loader`."""
-    features, flows = raw.get("features", []), raw.get("flows", [])
-    if type(features) is not list or type(flows) is not list:
-        return None
-    try:
-        ids, kinds, names, decls, visibilities, *flags = _columns(Feature._fields, features)
-        kinds, visibilities = _tokens(_FEATURE_KINDS, kinds), _tokens(_VISIBILITIES, visibilities)
-        if not ({*map(type, chain(ids, names, decls))} <= _STR and "" not in ids
-                and {*map(type, chain(*flags))} <= _BOOL):
-            return None
-        flow_kinds, sources, targets, labels = _columns(Flow._fields, flows)
-        flow_kinds = _tokens(_FLOW_KINDS, flow_kinds)
-        if not ({*map(type, chain(sources, targets))} <= _STR
-                and {*map(type, labels)} <= _LABEL_TYPES):
-            return None
-    except (KeyError, TypeError):  # a missing field, a record or token of the wrong type
-        return None
-    return (tuple(map(tuple.__new__, repeat(Feature),
-                      zip(ids, kinds, names, decls, visibilities, *flags))),
-            tuple(map(tuple.__new__, repeat(Flow), zip(flow_kinds, sources, targets, labels))))
-
-
-def _columns(fields: tuple[str, ...], records: list) -> list[tuple]:
-    """One tuple per field. A missing optional field reads as its default,
-    as on the per-record path; a missing required one raises KeyError."""
-    return [tuple(map(dict.get, records, repeat(field), repeat(_OPTIONAL[field])))
-            if field in _OPTIONAL else tuple(map(itemgetter(field), records))
-            for field in fields]
-
-
-def _tokens(table: dict, tokens: tuple) -> tuple:
-    return tuple(map(table.__getitem__, tokens))
-

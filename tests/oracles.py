@@ -710,10 +710,11 @@ def _ref_span(tok: _RefToken) -> ast.Span:
 
 # --- reference loader: the per-record document loader ------------------------
 #
-# Kept verbatim, with its structural checks, from before the loader gained a
-# bulk path for well-formed classes, so the two can be compared on models and
-# on diagnostics lists. It shares only the model types, the diagnostic types
-# and FORMAT_VERSION with the package.
+# Kept, with its structural checks, from before the loader gained a fast
+# path for regular records, so the two can be compared on models and on
+# diagnostics lists; since then both report an empty feature id (E_PARSE).
+# It shares only the model types, the diagnostic types and FORMAT_VERSION
+# with the package.
 
 _REF_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -871,6 +872,9 @@ class _RefLoader:
         fid, name, decl = get("id"), get("name"), get("decl")
         if not isinstance(fid, str):
             fid = self._not_str("id", class_name, f"features[{index}]", "")
+        elif not fid:
+            self.problems.append(_ref_parse_problem(f"features[{index}] has an empty id",
+                                                    class_name))
         if not isinstance(name, str):
             name = self._not_str("name", class_name, f"features[{index}]", "")
         if not isinstance(decl, str):

@@ -339,6 +339,16 @@ def test_validate_unloadable_document_exits_2(tmp_path, capsys):
     assert "E_PARSE" in err
 
 
+def test_validate_rejects_an_empty_feature_id(tmp_path, capsys):
+    doc = tmp_path / "empty-id.json"
+    doc.write_text('{"format_version":1,"classes":[{"name":"C","features":[{"id":"",'
+                   '"kind":"member","name":"x","decl":"int","visibility":"private"}],'
+                   '"flows":[]}]}')
+    code, out, err = run_cli(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"{doc}: E_PARSE class=C: features[0] has an empty id\n"
+
+
 def test_validate_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.json")
     assert code == 2

@@ -103,27 +103,32 @@ def test_loader_cases_load_alike(case):
     assert_same_load(LOADER_CASES[case])
 
 
-@pytest.mark.parametrize("first_id, bulk", [("x", True), ("", False)],
-                         ids=["bulk", "per-record"])
-def test_loaded_records_are_named_tuples(monkeypatch, first_id, bulk):
-    """Both loader paths build the same records. A regular document takes
-    the bulk path; a feature with an empty id sends its class through the
-    per-record path, which names that feature `<features[0]>`."""
-    paths = []
-    bulk_class = model._bulk_class
+FLAGS = dict.fromkeys(("is_static", "is_const", "is_constructor", "inherited"), False)
+THREE_FLAGS = dict.fromkeys(("is_static", "is_const", "is_constructor"), False)
 
-    def spy(raw):
-        records = bulk_class(raw)
-        paths.append(records is not None)
-        return records
 
-    monkeypatch.setattr(model, "_bulk_class", spy)
+@pytest.mark.parametrize("first_flags, hooked", [(FLAGS, True), (THREE_FLAGS, False)],
+                         ids=["hook", "per-record"])
+def test_loaded_records_are_named_tuples(monkeypatch, first_flags, hooked):
+    """Both loader paths build the same records. A document of full records
+    is built by the object hook as it is parsed; a feature that omits a flag
+    sends its class through the per-record `_Loader.feature`."""
+    calls = []
+    per_record = model._Loader.feature
+
+    def spy(self, *args):
+        calls.append(args)
+        return per_record(self, *args)
+
+    monkeypatch.setattr(model._Loader, "feature", spy)
     doc = {"format_version": 1, "classes": [{"name": "C", "features": [
-        {"id": first_id, "kind": "member", "name": "x", "decl": "int", "visibility": "private"},
-        {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "public"}],
-        "flows": [{"kind": "data", "source": "f", "target": "f"}]}]}
+        {"id": "x", "kind": "member", "name": "x", "decl": "int", "visibility": "private",
+         **first_flags},
+        {"id": "f", "kind": "method", "name": "f", "decl": "f()", "visibility": "public",
+         **FLAGS}],
+        "flows": [{"kind": "data", "source": "f", "target": "f", "label": None}]}]}
     cls = deserialize(json.dumps(doc)).classes[0]
-    assert paths == [bulk]
+    assert bool(calls) is not hooked
     feature, flow = cls.features[1], cls.flows[0]
     assert (type(feature), type(flow)) == (Feature, Flow)
     assert feature == Feature("f", FeatureKind.METHOD, "f", "f()", Visibility.PUBLIC)

@@ -345,6 +345,20 @@ def _loader_doc(feature=(), flow=(), features=None, flows=None):
                        "classes": [{"name": "C", "features": features, "flows": flows}]})
 
 
+# Full records, every field present, as the loader's object hook builds them.
+_FULL_MEMBER, _FULL_METHOD = ({**doc, **dict.fromkeys(_FLAGS, False)}
+                              for doc in (_MEMBER_DOC, _METHOD_DOC))
+_FULL_FLOW = {**_FLOW_DOC, "label": None}
+
+
+def _full_doc(root=(), **cls):
+    """A document of full records, with `cls`'s keys set on its class and
+    `root`'s on the document."""
+    return json.dumps({"format_version": 1, "classes": [
+        {"name": "C", "features": [_FULL_MEMBER, _FULL_METHOD], "flows": [_FULL_FLOW], **cls}],
+        **dict(root)})
+
+
 LOADER_CASES = {
     **{f"feature_{key}_missing": _loader_doc(feature={key: _DROP})
        for key in ("id", "name", "decl", "kind", "visibility")},
@@ -376,6 +390,18 @@ LOADER_CASES = {
     "repeated_flow_triple": _loader_doc(flows=[_FLOW_DOC, {**_FLOW_DOC, "label": "again"}]),
     "repeated_dangling_flow_triple": _loader_doc(
         flows=[{**_FLOW_DOC, "source": "ghost"}, {**_FLOW_DOC, "source": "ghost"}]),
+    "feature_id_empty": _loader_doc(feature={"id": ""}),
+    # record-shaped objects where no record belongs
+    "flow_shaped_root": json.dumps(_FULL_FLOW),
+    "flow_shaped_class": json.dumps({"format_version": 1, "classes": [
+        json.loads(_full_doc())["classes"][0], _FULL_FLOW]}),
+    "feature_in_flows": _full_doc(flows=[_FULL_FLOW, _FULL_MEMBER]),
+    "flow_in_features": _full_doc(features=[_FULL_MEMBER, _FULL_FLOW, _FULL_METHOD]),
+    "feature_as_a_name": _full_doc(features=[{**_FULL_MEMBER, "name": _FULL_METHOD},
+                                             _FULL_METHOD]),
+    "feature_as_format_version": _full_doc(root={"format_version": _FULL_MEMBER}),
+    "class_key_with_records": _full_doc(extra=[_FULL_MEMBER, _FULL_FLOW]),
+    "feature_kind_in_a_flow": _full_doc(flows=[{**_FULL_FLOW, "kind": "member"}]),
 }
 
 LOADER_EXPECTED = {
@@ -524,6 +550,42 @@ LOADER_EXPECTED = {
     'repeated_dangling_flow_triple': [
         ('E_DANGLING_REF', "flow endpoint 'ghost' does not name a feature", (('C', ('ghost',)),)),
         ('E_DANGLING_REF', "flow endpoint 'ghost' does not name a feature", (('C', ('ghost',)),)),
+    ],
+    'feature_id_empty': [
+        ('E_PARSE', 'features[0] has an empty id', (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+    ],
+    'flow_shaped_root': [
+        ('E_PARSE', 'unsupported format_version None (expected 1)', ()),
+        ('E_PARSE', "'classes' must be a list", ()),
+    ],
+    'flow_shaped_class': [
+        ('E_PARSE', 'classes[1] is missing a name', ()),
+    ],
+    'feature_in_flows': [
+        ('E_BAD_ENUM', "flows[1]: unknown kind token 'member'", (('C', ('flows[1]',)),)),
+        ('E_PARSE', "flows[1] is missing string field 'source'", (('C', ()),)),
+        ('E_PARSE', "flows[1] is missing string field 'target'", (('C', ()),)),
+    ],
+    'flow_in_features': [
+        ('E_PARSE', "features[1] is missing string field 'id'", (('C', ()),)),
+        ('E_PARSE', "features[1] is missing string field 'name'", (('C', ()),)),
+        ('E_PARSE', "features[1] is missing string field 'decl'", (('C', ()),)),
+        ('E_BAD_ENUM', "features[1]: unknown kind token 'data'", (('C', ('features[1]',)),)),
+        ('E_BAD_ENUM', 'features[1]: unknown visibility token None', (('C', ('features[1]',)),)),
+    ],
+    'feature_as_a_name': [
+        ('E_PARSE', "features[0] is missing string field 'name'", (('C', ()),)),
+    ],
+    'feature_as_format_version': [
+        ('E_PARSE', "unsupported format_version {'id': 'm', 'kind': 'member', 'name': 'm', "
+                    "'decl': 'int', 'visibility': 'private', 'is_static': False, "
+                    "'is_const': False, 'is_constructor': False, 'inherited': False} "
+                    "(expected 1)", ()),
+    ],
+    'class_key_with_records': [],
+    'feature_kind_in_a_flow': [
+        ('E_BAD_ENUM', "flows[0]: unknown kind token 'member'", (('C', ('flows[0]',)),)),
     ],
 }
 
