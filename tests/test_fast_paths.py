@@ -16,7 +16,7 @@ from ocdf.diagnostics import Code, Diagnostic, Subject, findings_json, indented_
 from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
                         _Loader, build_class, build_model, deserialize, serialize)
 
-from generators import random_valid_model
+from generators import random_valid_class, random_valid_model
 from test_loader_slices import reversed_keys
 from oracles import (reference_analyze_json, reference_deserialize, reference_findings_json,
                      reference_serialize)
@@ -195,25 +195,50 @@ def test_documents_without_optional_fields_load_like_the_reference(omitted):
         assert deserialize(data) == reference_deserialize(data)
 
 
-LAYOUTS = {
-    "serialized": lambda data: data,
-    "indented": lambda data: json.dumps(json.loads(data), indent=2),
-    "reversed_keys": lambda data: json.dumps(reversed_keys(json.loads(data))),
+def _long_arrays_model(rng: random.Random) -> OcdfModel:
+    """One to three classes of up to 64 features each: long record arrays."""
+    return build_model([random_valid_class(rng, f"Class{i}", 64)
+                        for i in range(rng.randint(1, 3))])
+
+
+def _as_written(data):
+    return data
+
+
+def _indented(data):
+    return json.dumps(json.loads(data), indent=2)
+
+
+def _reversed_keys(data):
+    return json.dumps(reversed_keys(json.loads(data)))
+
+
+# The model each seed draws and the layout its document is loaded in. The ids
+# "slice" and "slice-64" are the names these `serialize`-layout cases had
+# while that layout could also be read slice by slice; "slice-64" holds the
+# long record arrays that were cut into 64-character slices.
+DOCUMENTS = {
+    "slice": (random_valid_model, _as_written),
+    "slice-64": (_long_arrays_model, _as_written),
+    "indented": (random_valid_model, _indented),
+    "reversed_keys": (random_valid_model, _reversed_keys),
 }
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_serialized_documents_never_take_the_per_record_path(monkeypatch, layout):
+@pytest.mark.parametrize("case", DOCUMENTS)
+def test_serialized_documents_never_take_the_per_record_path(monkeypatch, case):
     """A document `serialize` wrote has its records built by the object hook
     as it is parsed, in `serialize`'s layout, indented, or with each object's
-    keys reversed: `_Loader.feature` and `_Loader.flow`, which only an
-    irregular record needs, are never called."""
+    keys reversed, and with short or long record arrays: `_Loader.feature`
+    and `_Loader.flow`, which only an irregular record needs, are never
+    called."""
+    draw, layout = DOCUMENTS[case]
     calls = []
     for name in ("feature", "flow"):
         monkeypatch.setattr(_Loader, name, _spy(getattr(_Loader, name), calls))
     for seed in range(200):
-        model = random_valid_model(random.Random(seed))
-        assert deserialize(LAYOUTS[layout](serialize(model))) == model
+        model = draw(random.Random(seed))
+        assert deserialize(layout(serialize(model))) == model
     assert calls == []
 
 

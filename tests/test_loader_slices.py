@@ -11,9 +11,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocdf.model import ModelError, OcdfModel, deserialize, serialize
+from ocdf import model
+from ocdf.model import ModelError, OcdfModel, _Loader, _record, deserialize, serialize
 
-from generators import random_valid_class
+from generators import random_valid_class, random_valid_model
 from oracles import reference_deserialize
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -171,3 +172,23 @@ def test_sliced_documents_load_as_the_reference_loads_them(doc, layout):
 @given(documents(), st.sampled_from(sorted(FAULTS)), st.integers(0, 1))
 def test_a_fault_in_a_later_slice_loads_as_the_reference_loads_it(doc, fault, which):
     _assert_same_load(_plant(doc, fault, which))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_serialized_models_take_the_sliced_path(seed, monkeypatch):
+    """A document `serialize` wrote, which a record array longer than 64
+    characters once sent through the sliced load, now loads in one parse
+    with the record hook into the model it came from: the plain pass and
+    the per-record `_Loader.feature` and `_Loader.flow` never run."""
+    original = random_valid_model(random.Random(seed))
+    hooks, records = [], []
+    json_document = model._json_document
+    monkeypatch.setattr(model, "_json_document",
+                        lambda data, hook: hooks.append(hook) or json_document(data, hook))
+    for name in ("feature", "flow"):
+        method = getattr(_Loader, name)
+        monkeypatch.setattr(_Loader, name,
+                            lambda *args, method=method: records.append(args) or method(*args))
+    assert deserialize(serialize(original)) == original
+    assert hooks == [_record]
+    assert records == []
