@@ -87,7 +87,7 @@ class Flow(_Node, namedtuple("Flow", "kind source target label", defaults=(None,
 
     def key(self) -> tuple[FlowKind, str, str]:
         """Identity triple; flows within a class have set semantics over it."""
-        return (self.kind, self.source, self.target)
+        return _KEY(self)
 
 
 class OcdfClass(_Node, namedtuple("OcdfClass", "name features flows", defaults=((), ()))):
@@ -167,7 +167,7 @@ _ID = attrgetter("id")
 _SOURCE = attrgetter("source")
 _TARGET = attrgetter("target")
 _LABEL = attrgetter("label")
-_KEY = attrgetter("kind", "source", "target")  # Flow.key() as a column
+_KEY = attrgetter("kind", "source", "target")  # Flow.key()
 
 
 def _dangling(class_name: str, endpoint: str) -> Diagnostic:
@@ -206,16 +206,11 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
     return Diagnostic(code, message, (Subject(class_name, ids),))
 
 
-# The canonical document's layout: `serialize` writes from these texts,
-# without building a dict per record. Field order below is the canonical
-# field order; do not reorder. Each string goes through the escaper
-# json.dumps(ensure_ascii=False) uses, so the bytes are those of
-# json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
+# One template per record, so `serialize` builds no dict per record. Field
+# order below is the canonical field order; do not reorder. Each string goes
+# through the escaper json.dumps(ensure_ascii=False) uses, so the bytes are
+# those of json.dumps(doc, ensure_ascii=False, separators=(",", ":")).
 
-_HEAD = '{"format_version":%d,"classes":[' % FORMAT_VERSION
-_NAME, _FEATURES = '{"name":', ',"features":['  # a class's opener, around its name
-_FLOWS = '],"flows":['  # between a class's features and its flows
-_END = "]}"  # closes a class's flows, and the document's classes
 _FEATURE_JSON = '{"id":%s,"kind":"%s","name":%s,"decl":%s,"visibility":"%s",%s}'
 _FLOW_JSON = '{"kind":"%s","source":%s,"target":%s,"label":%s}'
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
@@ -223,7 +218,6 @@ _FLAGS = attrgetter(*_FLAG_KEYS)
 _FLAGS_JSON = {flags: ",".join(f'"{key}":{str(flag).lower()}'
                                for key, flag in zip(_FLAG_KEYS, flags))
                for flags in product((False, True), repeat=len(_FLAG_KEYS))}
-_BOOL = {bool}
 
 
 class _Encoded(dict):
@@ -251,23 +245,23 @@ def serialize(model: OcdfModel) -> bytes:
     text = _Encoded({None: "null"})
     out = io.BytesIO()
     write = out.write
-    write(_HEAD.encode())
+    write(b'{"format_version":%d,"classes":[' % FORMAT_VERSION)
     for index, cls in enumerate(model.classes):
         features = cls.features
-        if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= _BOOL:
+        if not {*map(type, chain.from_iterable(map(_FLAGS, features)))} <= {bool}:
             raise TypeError(f"class {cls.name!r}: a feature flag is not a bool")
-        write(f'{"," if index else ""}{_NAME}{text[cls.name]}{_FEATURES}'.encode())
+        write(f'{"," if index else ""}{{"name":{text[cls.name]},"features":['.encode())
         # an enum's _value_ is an instance attribute; .value is a slower property
         _write_batches(write, (
             _FEATURE_JSON % (text[f.id], f.kind._value_, _escape(f.name), _escape(f.decl),
                              f.visibility._value_, _FLAGS_JSON[_FLAGS(f)])
             for f in features))
-        write(_FLOWS.encode())
+        write(b'],"flows":[')
         _write_batches(write, (
             _FLOW_JSON % (f.kind._value_, text[f.source], text[f.target], text[f.label])
             for f in cls.flows))
-        write(_END.encode())
-    write(_END.encode())
+        write(b"]}")
+    write(b"]}")
     return out.getvalue()
 
 
@@ -434,73 +428,67 @@ class _Loader:
     def feature(self, raw: object, class_name: str, index: int) -> Feature:
         if type(raw) is Feature:  # built by `_record`
             return raw
+        at = f"features[{index}]"
         if not isinstance(raw, dict):
-            self.problems.append(_parse_problem(f"features[{index}] must be an object", class_name))
-            return Feature(id=f"<features[{index}]>", kind=FeatureKind.MEMBER, name="")
-        get = raw.get
-        fid, name, decl = get("id"), get("name"), get("decl")
-        if not isinstance(fid, str):
-            fid = self._not_str("id", class_name, f"features[{index}]", "")
-        elif not fid:
-            self.problems.append(_parse_problem(f"features[{index}] has an empty id", class_name))
-        if not isinstance(name, str):
-            name = self._not_str("name", class_name, f"features[{index}]", "")
-        if not isinstance(decl, str):
-            decl = self._not_str("decl", class_name, f"features[{index}]", "")
-        where = fid or f"features[{index}]"  # how the diagnostics below name the feature
-        try:
-            kind = _FEATURE_KINDS[get("kind")]
-        except (KeyError, TypeError):
-            kind = self._bad_token(raw, "kind", class_name, where, FeatureKind.MEMBER)
-        try:
-            visibility = _VISIBILITIES[get("visibility")]
-        except (KeyError, TypeError):
-            visibility = self._bad_token(raw, "visibility", class_name, where, Visibility.PRIVATE)
-        return Feature(fid or f"<features[{index}]>", kind, name, decl, visibility,
-                       *[self._flag(get(key, False), key, class_name, where) for key in _FLAG_KEYS])
+            self.problems.append(_parse_problem(f"{at} must be an object", class_name))
+            return Feature(id=f"<{at}>", kind=MEMBER, name="")
+        fid = self._str(raw, "id", class_name, at, None)
+        if fid == "":
+            self.problems.append(_parse_problem(f"{at} has an empty id", class_name))
+        name = self._str(raw, "name", class_name, at, "")
+        decl = self._str(raw, "decl", class_name, at, "")
+        where = fid or at  # how the diagnostics below name the feature
+        kind = self._token(raw, "kind", _FEATURE_KINDS, class_name, where, MEMBER)
+        visibility = self._token(raw, "visibility", _VISIBILITIES, class_name, where,
+                                 Visibility.PRIVATE)
+        return Feature(fid or f"<{at}>", kind, name, decl, visibility,
+                       *[self._flag(raw, key, class_name, where) for key in _FLAG_KEYS])
 
     def flow(self, raw: object, class_name: str, index: int) -> Flow | None:
         if type(raw) is Flow:  # built by `_record`
             return raw
+        at = f"flows[{index}]"
         if not isinstance(raw, dict):
-            self.problems.append(_parse_problem(f"flows[{index}] must be an object", class_name))
+            self.problems.append(_parse_problem(f"{at} must be an object", class_name))
             return None
-        get = raw.get
-        try:
-            kind = _FLOW_KINDS[get("kind")]
-        except (KeyError, TypeError):
-            kind = self._bad_token(raw, "kind", class_name, f"flows[{index}]", FlowKind.DATA)
-        source, target, label = get("source"), get("target"), get("label")
-        if not isinstance(source, str):
-            source = self._not_str("source", class_name, f"flows[{index}]", None)
-        if not isinstance(target, str):
-            target = self._not_str("target", class_name, f"flows[{index}]", None)
+        kind = self._token(raw, "kind", _FLOW_KINDS, class_name, at, DATA)
+        source = self._str(raw, "source", class_name, at, None)
+        target = self._str(raw, "target", class_name, at, None)
+        label = raw.get("label")
         if label is not None and not isinstance(label, str):
-            self.problems.append(_parse_problem(f"flows[{index}] label must be a string or null",
-                                                class_name))
+            self.problems.append(_parse_problem(f"{at} label must be a string or null", class_name))
             label = None
         if source is None or target is None:
             return None
         return Flow(kind, source, target, label)
 
-    # These record a diagnostic for a field that fails its check.
+    # One reader per field kind: each returns the field's value, or records a
+    # diagnostic and returns the fallback given.
 
-    def _not_str(self, key: str, class_name: str, where: str, missing: str | None) -> str | None:
+    def _str(self, raw: dict, key: str, class_name: str, where: str,
+             missing: str | None) -> str | None:
+        value = raw.get(key)
+        if isinstance(value, str):
+            return value
         self.problems.append(_parse_problem(f"{where} is missing string field '{key}'",
                                             class_name))
         return missing
 
-    def _flag(self, value: object, key: str, class_name: str, where: str) -> bool:
+    def _token(self, raw: dict, key: str, table: dict, class_name: str, where: str,
+               default: TokenEnum) -> TokenEnum:
+        try:
+            return table[raw.get(key)]
+        except (KeyError, TypeError):
+            self.problems.append(_error(Code.E_BAD_ENUM, class_name, (where,),
+                                        f"{where}: unknown {key} token {raw.get(key)!r}"))
+            return default
+
+    def _flag(self, raw: dict, key: str, class_name: str, where: str) -> bool:
+        value = raw.get(key, False)
         if type(value) is bool:
             return value
         self.problems.append(_parse_problem(f"{where}: '{key}' must be a boolean", class_name))
         return False
-
-    def _bad_token(self, raw: dict, key: str, class_name: str, where: str,
-                   default: TokenEnum) -> TokenEnum:
-        self.problems.append(_error(Code.E_BAD_ENUM, class_name, (where,),
-                                    f"{where}: unknown {key} token {raw.get(key)!r}"))
-        return default
 
 
 # Token -> member tables for the loader; a miss raises KeyError, or TypeError

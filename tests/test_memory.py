@@ -63,9 +63,9 @@ def test_serialize_holds_one_copy_of_the_document():
 
 
 def test_deserialize_holds_no_whole_json_tree_of_a_large_document():
-    """The parsed JSON of a document takes several times its bytes; a large
-    document is parsed a slice of records at a time, so a load holds the
-    decoded text, the records and one slice."""
+    """The parsed JSON of a document takes several times its bytes; each
+    record is built as `json.loads` reads it, so no dict per record is kept,
+    and a load holds the decoded text and the records."""
     document = serialize(build_model([random_valid_class(random.Random(5), max_features=20000)]))
     assert len(document) >= MIB
     assert _peak(lambda: deserialize(document)) < 5 * len(document)

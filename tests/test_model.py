@@ -391,6 +391,11 @@ LOADER_CASES = {
     "repeated_dangling_flow_triple": _loader_doc(
         flows=[{**_FLOW_DOC, "source": "ghost"}, {**_FLOW_DOC, "source": "ghost"}]),
     "feature_id_empty": _loader_doc(feature={"id": ""}),
+    # each flow's own problems, then its dangling endpoints, flow by flow
+    "flow_problems_before_dangling_endpoints": _loader_doc(flows=[
+        {"kind": "bogus", "source": "ghost", "target": "f"},
+        {**_FLOW_DOC, "label": 3},
+        {**_FLOW_DOC, "target": "nowhere"}]),
     # record-shaped objects where no record belongs
     "flow_shaped_root": json.dumps(_FULL_FLOW),
     "flow_shaped_class": json.dumps({"format_version": 1, "classes": [
@@ -554,6 +559,13 @@ LOADER_EXPECTED = {
     'feature_id_empty': [
         ('E_PARSE', 'features[0] has an empty id', (('C', ()),)),
         ('E_DANGLING_REF', "flow endpoint 'm' does not name a feature", (('C', ('m',)),)),
+    ],
+    'flow_problems_before_dangling_endpoints': [
+        ('E_BAD_ENUM', "flows[0]: unknown kind token 'bogus'", (('C', ('flows[0]',)),)),
+        ('E_DANGLING_REF', "flow endpoint 'ghost' does not name a feature", (('C', ('ghost',)),)),
+        ('E_PARSE', 'flows[1] label must be a string or null', (('C', ()),)),
+        ('E_DANGLING_REF', "flow endpoint 'nowhere' does not name a feature",
+         (('C', ('nowhere',)),)),
     ],
     'flow_shaped_root': [
         ('E_PARSE', 'unsupported format_version None (expected 1)', ()),

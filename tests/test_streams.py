@@ -110,6 +110,29 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
     assert (validated.returncode, validated.stdout, validated.stderr) == (0, b"", b"")
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_failures_are_diagnostics_whatever_the_locale(tmp_path, encoding):
+    """A load failure and a parse failure in a class whose name the locale
+    cannot write: exit 2, nothing on stdout, and each stderr line is one
+    diagnostic with the name escaped, never a traceback."""
+    document = _document(tmp_path, "d.json", (
+        '{"format_version":1,"classes":[{"name":"名","features":[],'
+        '"flows":[{"kind":"data","source":"x","target":"y"}]}]}').encode("utf-8"))
+    source = tmp_path / "s.moo"
+    source.write_text("class 名 { public int f() { return this.y; } }\n", encoding="utf-8")
+    env = dict(ENV, PYTHONIOENCODING=encoding)
+    for argv, expected in (
+            (["validate", document], [
+                rf"{document}: E_DANGLING_REF class=\u540d subjects={end}: "
+                f"flow endpoint '{end}' does not name a feature" for end in "xy"]),
+            (["extract", str(source)], [
+                rf"{source}: E_RESOLVE 1:35: name 'y' does not resolve to anything "
+                r"in '\u540d' or its ancestors"])):
+        result = subprocess.run([*OCDF, *argv], capture_output=True, env=env)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.decode("ascii").splitlines() == expected
+
+
 def test_standard_input_that_is_the_output_is_read_first(tmp_path):
     """`ocdf render --output m.json - < m.json` renders m.json as it was."""
     document = _document(tmp_path, "m.json")
