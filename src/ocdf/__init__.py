@@ -16,8 +16,9 @@ _HOME = {
     "check_dot": "dotcheck",
     **dict.fromkeys(("extract", "extract_lazy_inherited", "parse"), "minioo"),
     **dict.fromkeys(("Feature", "FeatureKind", "Flow", "FlowKind", "OcdfClass", "OcdfModel",
-                     "Visibility", "build_class", "build_model", "deserialize",
-                     "serialize"), "model"),
+                     "Visibility", "build_class", "build_model"), "model"),
+    "deserialize": "loader",
+    "serialize": "writer",
     **dict.fromkeys(("RankDir", "RenderOptions", "render_dot", "render_model_dot"), "render"),
     **dict.fromkeys(("explain", "validate", "validate_class"), "validator"),
 }

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 
+from ocdf import deserialize, serialize
 from ocdf.analysis import AbstractionLevel, detect_races, project, substructures
 from ocdf.cli import main
 from ocdf.diagnostics import Code
@@ -23,8 +24,6 @@ from ocdf.model import (
     Visibility,
     build_class,
     build_model,
-    deserialize,
-    serialize,
 )
 from ocdf.render import render_dot
 from ocdf.validator import validate

@@ -15,9 +15,9 @@ import sys
 
 from hypothesis import example, given, settings, strategies as st
 
+from ocdf import serialize
 from ocdf.cli import main
 from ocdf.minioo import parse
-from ocdf.model import serialize
 
 from corpus_util import corpus_files
 from generators import mutate_source, random_minioo_source, random_valid_model

@@ -10,9 +10,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocdf import build_model, deserialize, serialize
 from ocdf.cli import main
 from ocdf.diagnostics import Code, Diagnostic, SourceError, Subject
-from ocdf.model import build_model, deserialize, serialize
 
 from corpus_util import CORPUS_DIR
 from generators import random_valid_class, random_valid_model
@@ -567,10 +567,10 @@ def test_runtime_imports_only_the_standard_library():
 
 # Modules of the package each subcommand must not import.
 UNUSED_MODULES = {
-    "extract": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.render", "ocdf.validator"},
-    "validate": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.minioo", "ocdf.render"},
-    "analyze": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.validator"},
-    "render": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.validator"},
+    "extract": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.loader", "ocdf.render", "ocdf.validator"},
+    "validate": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.writer"},
+    "analyze": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.validator", "ocdf.writer"},
+    "render": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.validator", "ocdf.writer"},
 }
 
 
@@ -608,7 +608,8 @@ def test_import_ocdf_loads_no_submodule_and_every_name_resolves():
                           "assert set(ocdf.__all__) <= set(star), set(ocdf.__all__) - set(star)\n"
                           "assert all(star[n] is v for n, v in names.items())\n"
                           "assert set(ocdf.__all__) <= set(dir(ocdf))")
-    assert {"ocdf.minioo", "ocdf.dotcheck", "ocdf.render", "ocdf.validator"} <= loaded
+    assert {"ocdf.minioo", "ocdf.dotcheck", "ocdf.loader", "ocdf.render", "ocdf.validator",
+            "ocdf.writer"} <= loaded
 
 
 # The names through which the handlers call the other layers; a caller may

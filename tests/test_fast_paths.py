@@ -11,10 +11,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocdf import deserialize, serialize
 from ocdf.cli import main
 from ocdf.diagnostics import Code, Diagnostic, Subject, findings_json, indented_json
+from ocdf.loader import _Loader
 from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
-                        _Loader, build_class, build_model, deserialize, serialize)
+                        build_class, build_model)
 
 from generators import random_valid_class, random_valid_model
 from test_loader_slices import reversed_keys

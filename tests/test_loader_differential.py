@@ -9,11 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocdf import model
+from ocdf import deserialize, loader, serialize
 from ocdf.analysis import RaceHazard, SubstructureReport
 from ocdf.diagnostics import Code, Diagnostic, MiniOoError, ModelError, SourceError, Subject
-from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, Visibility, deserialize,
-                        serialize)
+from ocdf.model import Feature, FeatureKind, Flow, FlowKind, Visibility
 
 from generators import random_valid_model
 from oracles import reference_deserialize
@@ -114,13 +113,13 @@ def test_loaded_records_are_named_tuples(monkeypatch, first_flags, hooked):
     is built by the object hook as it is parsed; a feature that omits a flag
     sends its class through the per-record `_Loader.feature`."""
     calls = []
-    per_record = model._Loader.feature
+    per_record = loader._Loader.feature
 
     def spy(self, *args):
         calls.append(args)
         return per_record(self, *args)
 
-    monkeypatch.setattr(model._Loader, "feature", spy)
+    monkeypatch.setattr(loader._Loader, "feature", spy)
     doc = {"format_version": 1, "classes": [{"name": "C", "features": [
         {"id": "x", "kind": "member", "name": "x", "decl": "int", "visibility": "private",
          **first_flags},

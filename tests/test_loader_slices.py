@@ -11,8 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocdf import model
-from ocdf.model import ModelError, OcdfModel, _Loader, _record, deserialize, serialize
+from ocdf import ModelError, OcdfModel, deserialize, loader, serialize
+from ocdf.loader import _Loader, _record
 
 from generators import random_valid_class, random_valid_model
 from oracles import reference_deserialize
@@ -182,8 +182,8 @@ def test_serialized_models_take_the_sliced_path(seed, monkeypatch):
     the per-record `_Loader.feature` and `_Loader.flow` never run."""
     original = random_valid_model(random.Random(seed))
     hooks, records = [], []
-    json_document = model._json_document
-    monkeypatch.setattr(model, "_json_document",
+    json_document = loader._json_document
+    monkeypatch.setattr(loader, "_json_document",
                         lambda data, hook: hooks.append(hook) or json_document(data, hook))
     for name in ("feature", "flow"):
         method = getattr(_Loader, name)

@@ -12,11 +12,11 @@ import random
 import sys
 import tracemalloc
 
+from ocdf import build_model, deserialize, serialize
 from ocdf.analysis import detect_races, substructures
 from ocdf.cli import main
 from ocdf.minioo.lexer import IDENT, KEYWORD, tokenize
 from ocdf.minioo.parser import parse
-from ocdf.model import build_model, deserialize, serialize
 
 from generators import random_minioo_source, random_valid_class, wide_race_class
 

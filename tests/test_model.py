@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ocdf import deserialize, serialize
 from ocdf.analysis import AbstractionLevel
 from ocdf.diagnostics import Code, ModelError
 from ocdf.model import (
@@ -15,8 +16,6 @@ from ocdf.model import (
     Visibility,
     build_class,
     build_model,
-    deserialize,
-    serialize,
 )
 from ocdf.render import RankDir
 from ocdf.validator import validate

@@ -17,13 +17,13 @@ import time
 
 import pytest
 
+from ocdf import deserialize, serialize
 from ocdf.analysis import detect_races, substructures
 from ocdf.cli import main
 from ocdf.diagnostics import MiniOoError
 from ocdf.minioo import extract, parse
 from ocdf.minioo.ast import Program
-from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility,
-                        deserialize, serialize)
+from ocdf.model import Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility
 from ocdf.render import render_dot, render_model_dot
 from ocdf.validator import validate
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ocdf.model import build_model, serialize
+from ocdf import build_model, serialize
 
 from generators import random_valid_class
 
