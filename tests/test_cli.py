@@ -623,11 +623,12 @@ def test_every_module_a_stage_imports_holds_at_most_2000_tokens(tmp_path, capsys
     """A stage process compiles each module it imports from source when no
     byte-code is cached, and the compile's memory peak grows with the
     module's size. Measured as `ru_maxrss` of fresh interpreters started from
-    a small process (median of 11, CPython 3.11): compiling a 999- or a
-    1,431-token module peaked no higher than `python -c pass`, a 1,940-token
-    one 0.24 MB higher and a 3,042-token one 0.73 MB higher; `import
-    ocdf.cli, ocdf.model` peaked 1.34 MB above `pass` while `ocdf.model` also
-    held the writer and the loader (3,042 tokens), and 0.46 MB without them.
+    a small process (median of 11, CPython 3.11), compiling the first 999 or
+    1,431 tokens of the 3,042-token `ocdf.model` that also held the writer
+    and the loader peaked no higher than `python -c pass`, its first 1,940
+    tokens 0.24 MB higher and the whole module 0.73 MB higher. `import
+    ocdf.cli, ocdf.model` peaked 1.34 MB above `pass` with that module and
+    0.46 MB with the 1,037-token one that holds the records alone.
     """
     source = CORPUS_DIR / "counter.moo"
     document = tmp_path / "counter.json"
