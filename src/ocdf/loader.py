@@ -1,10 +1,10 @@
 """Loading a model document: `deserialize`.
 
 `deserialize` parses a document with `_record` as the object hook, which
-turns each regular feature or flow object, with or without its optional
-fields, into its record as soon as it is read, so no dict per record is
-kept, whatever the document's size or layout; a class with any other
-record goes through `_Loader` one record at a time. That pass stops at its first problem. The document is then parsed
+turns each regular feature or flow object into its record as soon as it is
+read, so no dict per record is kept, whatever the document's size or
+layout; a class with any other record goes through `_Loader` one record at
+a time. That pass stops at its first problem. The document is then parsed
 again without the hook, and `_Loader` reports every problem, so the
 diagnostics and their order come from one path.
 
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
 from .diagnostics import Code, Diagnostic, ModelError, Subject, TokenEnum
-from .model import (_FEATURE_KINDS, _FLAG_KEYS, _FLOW_KINDS, _VISIBILITIES, DATA,
-                    FORMAT_VERSION, MEMBER, Feature, Flow, OcdfClass, OcdfModel, Visibility,
-                    _check_class, _check_class_names, _error)
+from .model import (_FLAG_KEYS, _VISIBILITIES, DATA, FORMAT_VERSION, MEMBER, Feature,
+                    FeatureKind, Flow, FlowKind, OcdfClass, OcdfModel, Visibility, _check_class,
+                    _check_class_names, _error)
 
 # A surrogate escape: only a document holding one is checked for an unpaired
 # surrogate. A literal prefix keeps the scan far cheaper than json.loads.
@@ -91,18 +90,15 @@ _FEATURE_FIELDS = itemgetter(*Feature._fields)
 _FLOW_FIELDS = itemgetter(*Flow._fields)
 _new = tuple.__new__  # a record from a tuple of its fields, without the named tuple's checks
 
-# The exact key set of a feature or flow object that leaves out optional
-# fields -> the defaults `_Loader` gives them: a flow's null label, a
-# feature's false flags.
-_OMITTED = {frozenset(Flow._fields[:3]): {"label": None}, **{
-    frozenset(Feature._fields).difference(flags): dict.fromkeys(flags, False)
-    for count in range(1, len(_FLAG_KEYS) + 1) for flags in combinations(_FLAG_KEYS, count)}}
+# Token -> member tables; a miss raises KeyError, or TypeError for an
+# unhashable token such as a JSON list.
+_FEATURE_KINDS = FeatureKind._value2member_map_
+_FLOW_KINDS = FlowKind._value2member_map_
 
 
 def _record(obj: dict) -> object:
     """The object hook: a feature or flow object that holds every field,
-    each of its type, becomes its record, and so does one that leaves out
-    only optional fields; any other object is kept."""
+    each of its type, becomes its record; any other object is kept."""
     try:
         size = len(obj)
         if size == 4:
@@ -117,8 +113,6 @@ def _record(obj: dict) -> object:
                 return _new(Feature, (
                     fid, _FEATURE_KINDS[kind], name, decl, _VISIBILITIES[visibility],
                     static, const, constructor, inherited))
-        elif (omitted := _OMITTED.get(frozenset(obj))) is not None:
-            return _record({**obj, **omitted})
     except (KeyError, TypeError):  # a missing field; an unknown or unhashable token
         pass
     return obj

@@ -196,8 +196,7 @@ def _error(code: Code, class_name: str, ids: tuple[str, ...], message: str) -> D
 _FLAG_KEYS = ("is_static", "is_const", "is_constructor", "inherited")
 
 
-# Token -> member tables for the loader; a miss raises KeyError, or TypeError
-# for an unhashable token such as a JSON list.
-_FEATURE_KINDS = FeatureKind._value2member_map_
+# Visibility token -> member, read by the loader and the MiniOO parser; a
+# miss raises KeyError, or TypeError for an unhashable token such as a JSON
+# list.
 _VISIBILITIES = Visibility._value2member_map_
-_FLOW_KINDS = FlowKind._value2member_map_

@@ -19,7 +19,6 @@ from ocdf.model import (Feature, FeatureKind, Flow, FlowKind, OcdfClass, OcdfMod
                         build_class, build_model)
 
 from generators import random_valid_class, random_valid_model
-from test_loader_differential import without_defaults
 from test_loader_slices import reversed_keys
 from oracles import (reference_analyze_json, reference_deserialize, reference_findings_json,
                      reference_serialize)
@@ -216,14 +215,6 @@ def _reversed_keys(data):
     return json.dumps(reversed_keys(json.loads(data)))
 
 
-def _without_null_labels(data):
-    return json.dumps(without_defaults(json.loads(data), ("label",)))
-
-
-def _without_defaults(data):
-    return json.dumps(without_defaults(json.loads(data)))
-
-
 # The model each seed draws and the layout its document is loaded in. The ids
 # "slice" and "slice-64" are the names these `serialize`-layout cases had
 # while that layout could also be read slice by slice; "slice-64" holds the
@@ -233,17 +224,14 @@ DOCUMENTS = {
     "slice-64": (_long_arrays_model, _as_written),
     "indented": (random_valid_model, _indented),
     "reversed_keys": (random_valid_model, _reversed_keys),
-    "no_null_labels": (random_valid_model, _without_null_labels),
-    "no_defaults": (random_valid_model, _without_defaults),
 }
 
 
 @pytest.mark.parametrize("case", DOCUMENTS)
 def test_serialized_documents_never_take_the_per_record_path(monkeypatch, case):
     """A document `serialize` wrote has its records built by the object hook
-    as it is parsed, in `serialize`'s layout, indented, with each object's
-    keys reversed, or without its null labels or any optional field that
-    holds its default, and with short or long record arrays: `_Loader.feature`
+    as it is parsed, in `serialize`'s layout, indented, or with each object's
+    keys reversed, and with short or long record arrays: `_Loader.feature`
     and `_Loader.flow`, which only an irregular record needs, are never
     called."""
     draw, layout = DOCUMENTS[case]
