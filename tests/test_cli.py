@@ -627,8 +627,8 @@ def test_every_module_a_stage_imports_holds_at_most_2000_tokens(tmp_path, capsys
     1,431 tokens of the 3,042-token `ocdf.model` that also held the writer
     and the loader peaked no higher than `python -c pass`, its first 1,940
     tokens 0.24 MB higher and the whole module 0.73 MB higher. `import
-    ocdf.cli, ocdf.model` peaked 1.34 MB above `pass` with that module and
-    0.46 MB with the 1,037-token one that holds the records alone.
+    ocdf.cli, ocdf.model` peaked 1.28 MB above `pass` with that module and
+    0.43 MB with the 1,027-token one that holds the records alone.
     """
     source = CORPUS_DIR / "counter.moo"
     document = tmp_path / "counter.json"
