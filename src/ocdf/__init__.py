@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _HOME = {
-    **dict.fromkeys(("AbstractionLevel", "RaceHazard", "SubstructureReport",
-                     "detect_races", "project", "substructures"), "analysis"),
+    **dict.fromkeys(("RaceHazard", "SubstructureReport", "detect_races", "substructures"),
+                    "analysis"),
     **dict.fromkeys(("Code", "Diagnostic", "MiniOoError", "ModelError", "OcdfError",
                      "Subject"), "diagnostics"),
     "check_dot": "dotcheck",
@@ -19,7 +19,8 @@ _HOME = {
                      "Visibility", "build_class", "build_model"), "model"),
     "deserialize": "loader",
     "serialize": "writer",
-    **dict.fromkeys(("RankDir", "RenderOptions", "render_dot", "render_model_dot"), "render"),
+    **dict.fromkeys(("AbstractionLevel", "RankDir", "RenderOptions", "project", "render_dot",
+                     "render_model_dot"), "render"),
     **dict.fromkeys(("explain", "validate", "validate_class"), "validator"),
 }
 

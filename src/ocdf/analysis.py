@@ -1,14 +1,16 @@
 """Analyses over a class flow model.
 
-Three views, all pure:
+Two views, both pure:
 
-* project() narrows a class to one of three abstraction levels;
 * substructures() partitions features into connected components -- the
   tightly bound substructures whose boundaries suggest how to split the
   class during refactoring;
 * detect_races() reports members that distinct entry points can reach with
   conflicting reads/writes -- a syntactic may-happen heuristic with no lock
   modeling.
+
+Narrowing a class to an abstraction level is a rendering choice and lives
+in `ocdf.render`, so a render stage compiles none of this module.
 """
 
 from __future__ import annotations
@@ -18,32 +20,8 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count, repeat
 from operator import itemgetter
 
-from .diagnostics import TokenEnum, _Node
-from .model import CONTROL, DATA, INTERFACE_METHOD, MEMBER, Flow, OcdfClass, _roles
-
-
-class AbstractionLevel(TokenEnum):
-    """L1: only data flows touching a data member. L2: L1 plus all control
-    flows. L3: everything, including method-to-method data flows."""
-
-    L1 = "L1"
-    L2 = "L2"
-    L3 = "L3"
-
-
-def project(cls: OcdfClass, level: AbstractionLevel) -> OcdfClass:
-    """Narrow the flow set to the given level; features are never removed."""
-    if level is AbstractionLevel.L3:
-        return cls
-    members = {f.id for f in cls.features if f.kind is MEMBER}
-
-    def keep(flow: Flow) -> bool:
-        if flow.kind is DATA:
-            return flow.source in members or flow.target in members
-        return level is AbstractionLevel.L2
-
-    return OcdfClass(name=cls.name, features=cls.features,
-                     flows=tuple(f for f in cls.flows if keep(f)))
+from .diagnostics import _Node
+from .model import CONTROL, DATA, INTERFACE_METHOD, MEMBER, OcdfClass, _roles
 
 
 class SubstructureReport(_Node, namedtuple("SubstructureReport", "components cut_suggestions")):

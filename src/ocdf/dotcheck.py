@@ -9,6 +9,10 @@ Grammar accepted:
     attr     = ID "=" value
     value    = ID | NUMBER | quoted string
 
+An ID is a name of letters, digits and underscores, not starting with a
+digit, that is none of DOT's keywords (node, edge, graph, digraph, subgraph,
+strict) in any case: an unquoted keyword is never an ID in DOT.
+
 Not a general DOT parser; it exists so emitted documents can be verified
 without a graphviz installation.
 """
@@ -28,6 +32,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
+_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 def check_dot(text: str) -> list[str]:
@@ -80,15 +86,18 @@ class _Checker:
 
     def expect_id(self) -> bool:
         tok = self.peek()
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if _is_id(tok):
             self.next()
             return True
-        self.error(f"expected identifier, found {tok!r}")
+        if tok is not None and tok.lower() in _KEYWORDS:
+            self.error(f"keyword {tok!r} used as an identifier")
+        else:
+            self.error(f"expected identifier, found {tok!r}")
         return False
 
     def is_value(self, tok: str | None) -> bool:
         return tok is not None and (
-            re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok)
+            _is_id(tok)
             or re.fullmatch(r"-?\d+(\.\d+)?", tok)
             or (tok.startswith('"') and tok.endswith('"')))
 
@@ -149,3 +158,7 @@ class _Checker:
                 continue
             break
         return self.expect("]")
+
+
+def _is_id(tok: str | None) -> bool:
+    return tok is not None and bool(_NAME(tok)) and tok.lower() not in _KEYWORDS

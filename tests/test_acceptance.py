@@ -10,7 +10,7 @@ import sys
 import time
 
 from ocdf import deserialize, serialize
-from ocdf.analysis import AbstractionLevel, detect_races, project, substructures
+from ocdf.analysis import detect_races, substructures
 from ocdf.cli import main
 from ocdf.diagnostics import Code
 from ocdf.dotcheck import check_dot
@@ -25,7 +25,7 @@ from ocdf.model import (
     build_class,
     build_model,
 )
-from ocdf.render import render_dot
+from ocdf.render import AbstractionLevel, project, render_dot
 from ocdf.validator import validate
 
 from corpus_util import GOLDEN_DIR, corpus_classes

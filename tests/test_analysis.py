@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocdf.analysis import (
-    AbstractionLevel,
     _leading,
     _name_token,
     detect_races,
-    project,
     substructures,
 )
 from ocdf.model import (
@@ -20,6 +18,7 @@ from ocdf.model import (
     Visibility,
     build_class,
 )
+from ocdf.render import AbstractionLevel, project
 
 from generators import random_valid_class
 from oracles import (

@@ -572,7 +572,7 @@ UNUSED_MODULES = {
     "extract": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.loader", "ocdf.render", "ocdf.validator"},
     "validate": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.writer"},
     "analyze": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.render", "ocdf.validator", "ocdf.writer"},
-    "render": {"ocdf.dotcheck", "ocdf.minioo", "ocdf.validator", "ocdf.writer"},
+    "render": {"ocdf.analysis", "ocdf.dotcheck", "ocdf.minioo", "ocdf.validator", "ocdf.writer"},
 }
 
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from ocdf import deserialize, serialize
-from ocdf.analysis import AbstractionLevel
 from ocdf.diagnostics import Code, ModelError
 from ocdf.model import (
     Feature,
@@ -17,7 +16,7 @@ from ocdf.model import (
     build_class,
     build_model,
 )
-from ocdf.render import RankDir
+from ocdf.render import AbstractionLevel, RankDir
 from ocdf.validator import validate
 
 from generators import random_valid_model

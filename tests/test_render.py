@@ -1,7 +1,9 @@
 import random
 import re
 
-from ocdf.analysis import AbstractionLevel, project
+import pytest
+
+from ocdf.diagnostics import Code, ModelError
 from ocdf.dotcheck import check_dot
 from ocdf.minioo import extract, extract_lazy_inherited, parse
 from ocdf.model import (
@@ -14,7 +16,14 @@ from ocdf.model import (
     build_class,
     build_model,
 )
-from ocdf.render import RankDir, RenderOptions, render_dot, render_model_dot
+from ocdf.render import (
+    AbstractionLevel,
+    RankDir,
+    RenderOptions,
+    project,
+    render_dot,
+    render_model_dot,
+)
 
 from generators import random_valid_class, random_valid_model
 
@@ -120,6 +129,69 @@ def test_dangling_flow_draws_no_edge():
 def test_rankdir_option():
     assert "rankdir=TB;" in render_dot(SAMPLE)
     assert "rankdir=LR;" in render_dot(SAMPLE, RenderOptions(rankdir=RankDir.LEFT_RIGHT))
+
+
+# One flow kept per level: L1 the member's data flow, L2 adds the call, L3
+# the method-to-method data flow.
+LEVELS = build_class(
+    "C",
+    [Feature(id="x", kind=FeatureKind.MEMBER, name="x", decl="int"),
+     Feature(id="f", kind=FeatureKind.METHOD, name="f", decl="f()"),
+     Feature(id="g", kind=FeatureKind.METHOD, name="g", decl="g()")],
+    [Flow(FlowKind.DATA, "x", "f"), Flow(FlowKind.CONTROL, "f", "g"),
+     Flow(FlowKind.DATA, "f", "g")],
+)
+
+
+@pytest.mark.parametrize("level", list(AbstractionLevel))
+def test_a_level_token_reads_as_its_member(level):
+    assert len(project(LEVELS, level).flows) == int(level.value[1])
+    assert project(LEVELS, level.value) == project(LEVELS, level)
+    assert (render_dot(LEVELS, RenderOptions(level=level.value))
+            == render_dot(LEVELS, RenderOptions(level=level)))
+
+
+@pytest.mark.parametrize("rankdir", list(RankDir))
+def test_a_rankdir_token_reads_as_its_member(rankdir):
+    assert (render_dot(SAMPLE, RenderOptions(rankdir=rankdir.value))
+            == render_dot(SAMPLE, RenderOptions(rankdir=rankdir)))
+
+
+@pytest.mark.parametrize("render", [
+    lambda: project(LEVELS, "L4"),
+    lambda: render_dot(LEVELS, RenderOptions(level="L4")),
+    lambda: render_dot(LEVELS, RenderOptions(rankdir="lr")),
+    lambda: render_model_dot(build_model([]), RenderOptions(level="L4")),
+], ids=["project", "level", "rankdir", "empty-model"])
+def test_an_unknown_token_raises_bad_enum(render):
+    with pytest.raises(ModelError) as err:
+        render()
+    assert [d.code for d in err.value.diagnostics] == [Code.E_BAD_ENUM]
+
+
+def test_dot_keywords_are_not_node_ids():
+    """DOT keywords, in any case, are no ids: `node [...]` would set the
+    default node attributes and `node -> edge` is a syntax error."""
+    names = ["node", "edge", "Graph", "strict", "DiGraph", "subgraph", "f_node"]
+    cls = build_class("node", [Feature(id=n, kind=FeatureKind.METHOD, name=n) for n in names],
+                      [Flow(FlowKind.CONTROL, "node", "edge"),
+                       Flow(FlowKind.CONTROL, "Graph", "strict")])
+    dot = render_dot(cls)
+    assert check_dot(dot) == []
+    assert _declared_nodes(dot) == ["f_node", "f_edge", "f_Graph", "f_strict", "f_DiGraph",
+                                    "f_subgraph", "f_node_2"]
+    assert "    f_node -> f_edge [style=dashed];" in dot
+    assert "    f_Graph -> f_strict [style=dashed];" in dot
+    assert "subgraph cluster_node {" in dot  # the prefix makes a cluster id no keyword
+
+
+@pytest.mark.parametrize("statement", [
+    'node [label="n", shape=box];', "node -> edge;", "x -> Graph;", "STRICT;",
+])
+def test_check_dot_reports_a_keyword_as_a_node_or_edge_id(statement):
+    dot = ('digraph ocdf {\n  rankdir=TB;\n  subgraph cluster_C {\n'
+           f'    x [label="x", shape=box];\n    {statement}\n  }}\n}}\n')
+    assert any("keyword" in problem for problem in check_dot(dot)), check_dot(dot)
 
 
 def test_node_ids_are_sanitized_without_colliding():
